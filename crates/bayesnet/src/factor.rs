@@ -6,9 +6,11 @@
 //! marginalizations simple stride walks). Each factor also carries its
 //! scope as a [`VarSet`] bitset so membership tests in the elimination
 //! loops are word ops, and the arithmetic loop bodies live in free
-//! `*_into` kernels writing into caller-provided buffers — the compiled
-//! plan replay calls the same kernels against arena memory, which is what
-//! makes the warm path bit-identical to these methods by construction.
+//! `*_into` kernels writing into caller-provided buffers — the methods
+//! call them with all-[`DENSE`] masks, the compiled plan replay calls the
+//! same kernels against arena memory with the masks a query's predicates
+//! pin, which is what makes the warm path bit-identical to these methods
+//! by construction.
 
 use crate::varset::VarSet;
 
@@ -120,14 +122,15 @@ impl Factor {
         let stride_b = strides_in(&other.vars, &other.cards, &vars);
         let len: usize = cards.iter().product::<usize>().max(1);
         let mut data = vec![0.0; len];
-        let mut assign = vec![0usize; vars.len().saturating_sub(1)];
         product_into(
             &self.data,
             &other.data,
             &cards,
             &stride_a,
             &stride_b,
-            &mut assign,
+            &vec![DENSE; vars.len()],
+            &[],
+            &mut vec![0usize; 2 * vars.len()],
             &mut data,
         );
         Factor::assemble(vars, cards, data)
@@ -160,17 +163,19 @@ impl Factor {
         rstride_b.remove(pos);
         let len: usize = cards.iter().product::<usize>().max(1);
         let mut data = vec![0.0; len];
-        let mut assign = vec![0usize; vars.len()];
         product_sum_out_into(
             &self.data,
             &other.data,
             &cards,
             &rstride_a,
             &rstride_b,
+            &vec![DENSE; vars.len()],
+            &[],
             card_v,
             sav,
             sbv,
-            &mut assign,
+            DENSE,
+            &mut vec![0usize; 2 * vars.len()],
             &mut data,
         );
         Factor::assemble(vars, cards, data)
@@ -236,13 +241,24 @@ impl Factor {
         };
         let mut vars = self.vars.clone();
         let mut cards = self.cards.clone();
+        let mut stride = strides_in(&self.vars, &self.cards, &self.vars);
         vars.remove(pos);
         let card = cards.remove(pos);
-        let inner: usize = self.cards[pos + 1..].iter().product::<usize>().max(1);
-        let outer: usize = self.cards[..pos].iter().product::<usize>().max(1);
-        let len = inner * outer;
+        let sv = stride.remove(pos);
+        let len: usize = cards.iter().product::<usize>().max(1);
         let mut data = vec![0.0; len];
-        sum_out_into(&self.data, outer, card, inner, &mut data);
+        sum_out_into(
+            &self.data,
+            &cards,
+            &stride,
+            &vec![DENSE; vars.len()],
+            &[],
+            card,
+            sv,
+            DENSE,
+            &mut vec![0usize; 2 * vars.len()],
+            &mut data,
+        );
         Factor::assemble(vars, cards, data)
     }
 
@@ -343,182 +359,34 @@ pub fn strides_in(vars: &[usize], cards: &[usize], result_vars: &[usize]) -> Vec
 // Allocation-free kernels.
 //
 // These free functions hold the single implementation of each factor
-// operation's arithmetic loop. The `Factor` methods above allocate fresh
-// buffers and delegate here; the compiled plan replay in `prmsel::plan`
-// calls the same kernels with precomputed strides against arena memory.
-// Because both paths execute the identical loop bodies — same multiply
-// order, same ascending-`var` accumulation — warm replay is bit-identical
-// to the method path by construction.
-// ---------------------------------------------------------------------------
-
-/// `out[i] = a[·] * b[·]` over the result scope described by `cards` with
-/// per-operand strides (0 where a variable is absent from an operand).
-/// `assign` is odometer scratch of length ≥ `cards.len() - 1`; `out` must
-/// have length `Π cards (min 1)`. Every slot is overwritten.
-pub fn product_into(
-    a: &[f64],
-    b: &[f64],
-    cards: &[usize],
-    stride_a: &[usize],
-    stride_b: &[usize],
-    assign: &mut [usize],
-    out: &mut [f64],
-) {
-    if cards.is_empty() {
-        out[0] = a[0] * b[0];
-        return;
-    }
-    let outer = cards.len() - 1;
-    let inner = cards[outer];
-    let (sa, sb) = (stride_a[outer], stride_b[outer]);
-    let assign = &mut assign[..outer];
-    assign.fill(0);
-    let (mut ia, mut ib) = (0usize, 0usize);
-    for block in out.chunks_exact_mut(inner) {
-        if sa == 1 && sb == 1 {
-            // Both operands contiguous over the innermost variable.
-            let av = &a[ia..ia + inner];
-            let bv = &b[ib..ib + inner];
-            for (slot, (&x, &y)) in block.iter_mut().zip(av.iter().zip(bv)) {
-                *slot = x * y;
-            }
-        } else {
-            let (mut oa, mut ob) = (ia, ib);
-            for slot in block.iter_mut() {
-                *slot = a[oa] * b[ob];
-                oa += sa;
-                ob += sb;
-            }
-        }
-        // Odometer over the outer variables only.
-        for k in (0..outer).rev() {
-            assign[k] += 1;
-            ia += stride_a[k];
-            ib += stride_b[k];
-            if assign[k] < cards[k] {
-                break;
-            }
-            assign[k] = 0;
-            ia -= stride_a[k] * cards[k];
-            ib -= stride_b[k] * cards[k];
-        }
-    }
-}
-
-/// Fused product-then-sum-out: `out = Σ_v a · b`, where `cards` /
-/// `stride_a` / `stride_b` describe the *result* scope (the union with
-/// the summed variable removed), and (`card_v`, `sav`, `sbv`) are the
-/// summed variable's cardinality and per-operand strides. Accumulates in
-/// ascending `v` order — the bit-identity invariant. `assign` is scratch
-/// of length ≥ `cards.len()`; every `out` slot is overwritten.
-#[allow(clippy::too_many_arguments)]
-pub fn product_sum_out_into(
-    a: &[f64],
-    b: &[f64],
-    cards: &[usize],
-    stride_a: &[usize],
-    stride_b: &[usize],
-    card_v: usize,
-    sav: usize,
-    sbv: usize,
-    assign: &mut [usize],
-    out: &mut [f64],
-) {
-    let assign = &mut assign[..cards.len()];
-    assign.fill(0);
-    let (mut ia, mut ib) = (0usize, 0usize);
-    for slot in out.iter_mut() {
-        let mut acc = 0.0;
-        let (mut oa, mut ob) = (ia, ib);
-        for _ in 0..card_v {
-            acc += a[oa] * b[ob];
-            oa += sav;
-            ob += sbv;
-        }
-        *slot = acc;
-        for k in (0..cards.len()).rev() {
-            assign[k] += 1;
-            ia += stride_a[k];
-            ib += stride_b[k];
-            if assign[k] < cards[k] {
-                break;
-            }
-            assign[k] = 0;
-            ia -= stride_a[k] * cards[k];
-            ib -= stride_b[k] * cards[k];
-        }
-    }
-}
-
-/// Sums out the axis of cardinality `card` sitting between `outer` outer
-/// cells and `inner` inner cells: `out[o·inner + k] = Σ_c src[...]`, with
-/// the sum accumulated in ascending `c` order. `out` must have length
-/// `outer · inner`; it is zeroed first, so reused arena buffers are fine.
-pub fn sum_out_into(
-    src: &[f64],
-    outer: usize,
-    card: usize,
-    inner: usize,
-    out: &mut [f64],
-) {
-    out.fill(0.0);
-    for o in 0..outer {
-        let src_base = o * card * inner;
-        let dst_base = o * inner;
-        for c in 0..card {
-            let s = src_base + c * inner;
-            for k in 0..inner {
-                out[dst_base + k] += src[s + k];
-            }
-        }
-    }
-}
-
-/// Zeroes the runs of `data` whose code for the reduced axis (cardinality
-/// `card`, run length `inner`) is not allowed. Pure zeroing — no float
-/// arithmetic — so applying masks in any order yields identical bits.
-pub fn reduce_in_place(data: &mut [f64], card: usize, inner: usize, allowed: &[bool]) {
-    let mut base = 0usize;
-    while base < data.len() {
-        for (c, &ok) in allowed.iter().enumerate().take(card) {
-            if !ok {
-                let start = base + c * inner;
-                data[start..start + inner].fill(0.0);
-            }
-        }
-        base += card * inner;
-    }
-}
-
-/// Copying variant of [`reduce_in_place`]: writes `src` into `out` and
-/// zeroes disallowed runs in the same pass destination.
-pub fn reduce_into(
-    src: &[f64],
-    card: usize,
-    inner: usize,
-    allowed: &[bool],
-    out: &mut [f64],
-) {
-    out.copy_from_slice(src);
-    reduce_in_place(out, card, inner, allowed);
-}
-
-// ---------------------------------------------------------------------------
-// Slice-aware masked kernels.
+// operation's arithmetic loop. Every kernel takes one mask per result
+// axis: `masks[k]` is either [`DENSE`] (walk all of `0..cards[k]`) or the
+// offset of axis `k`'s ascending allowed-code list in the shared `codes`
+// buffer (layout `[len, code_0, code_1, …]`). The `Factor` methods above
+// allocate fresh buffers and pass all-`DENSE` masks; the compiled plan
+// replay in `prmsel::plan` calls the same kernels with precomputed strides
+// against arena memory, masking the axes a query's predicates pin. Both
+// paths execute the identical loop bodies — same multiply order, same
+// ascending-`var` accumulation — so warm replay is bit-identical to the
+// method path by construction.
 //
-// The masked variants below compute the same result as reduce-then-dense —
-// zero the disallowed runs of each operand, then run the dense kernel — but
-// never touch a disallowed index: each masked axis walks an explicit
-// ascending allowed-code list instead of 0..card. Per-cell cost therefore
-// tracks the number of *allowed* codes (1 for an equality predicate), not
-// the domain size.
+// A masked kernel computes the same result as reduce-then-unmasked — zero
+// the disallowed runs of each operand, then run the kernel with all-`DENSE`
+// masks — but never touches a disallowed index: the outer axes advance
+// through their allowed runs only, so per-cell cost tracks the number of
+// *allowed* codes (1 for an equality predicate), not the domain size.
+// Bit-identity holds because factor entries are non-negative finite
+// probabilities: a disallowed (zeroed) code contributes exactly
+// `0.0 × x = +0.0` to a product cell and `acc + 0.0` (bit-preserving on a
+// non-negative accumulator) to a sum — so skipping it changes nothing, and
+// `fill(0.0)` writes the same `+0.0` the unmasked kernel would have
+// computed for every fully-disallowed cell.
 //
-// Bit-identity with the dense pipeline holds because factor entries are
-// non-negative finite probabilities: a disallowed (zeroed) code contributes
-// exactly `0.0 × x = +0.0` to a product cell and `acc + 0.0` (bit-
-// preserving on a non-negative accumulator) to a sum — so skipping it
-// changes nothing, and `fill(0.0)` writes the same `+0.0` the dense kernel
-// would have computed for every fully-disallowed cell.
+// Each kernel walks the outer result axes with one allowed-cell odometer
+// and handles the innermost axis as a row. When that axis is `DENSE` and
+// the operands are contiguous along it, the row is a stride-1 loop the
+// compiler vectorizes — the only unmasked-specific code, chosen from the
+// masks and strides.
 // ---------------------------------------------------------------------------
 
 /// Sentinel in a `masks` slot: the axis is unmasked (iterate all codes).
@@ -529,6 +397,17 @@ pub const DENSE: usize = usize::MAX;
 #[inline]
 fn code_list(codes: &[usize], off: usize) -> &[usize] {
     &codes[off + 1..off + 1 + codes[off]]
+}
+
+/// Calls `f(c)` for every code of an axis of cardinality `card` that
+/// `mask` allows, ascending: all of `0..card` for [`DENSE`].
+#[inline]
+fn for_each_code(card: usize, mask: usize, codes: &[usize], mut f: impl FnMut(usize)) {
+    if mask == DENSE {
+        (0..card).for_each(f);
+    } else {
+        code_list(codes, mask).iter().for_each(|&c| f(c));
+    }
 }
 
 /// Row-major output strides of the result scope, written into `ostride`.
@@ -621,14 +500,49 @@ fn advance_allowed(
     false
 }
 
-/// Masked [`product_into`]: `out[·] = a[·] * b[·]` at every cell allowed by
-/// all masks; every other cell is zero. `masks[k]` is either [`DENSE`] or
-/// the offset of axis `k`'s allowed-code region in `codes`. `assign` is
-/// scratch of length ≥ `2 · cards.len()`. Bit-identical to reducing both
-/// operands and calling [`product_into`] (entries must be non-negative and
-/// finite).
+/// Calls `row(ia, ib, io)` once per allowed cell of the outer result axes
+/// (all but the innermost, which `cards` must have), passing the operand
+/// and output offsets of that row's code-0 cell. `assign` is scratch of
+/// length ≥ `2 · cards.len()`.
+#[inline]
+fn for_each_row(
+    cards: &[usize],
+    stride_a: &[usize],
+    stride_b: &[usize],
+    masks: &[usize],
+    codes: &[usize],
+    assign: &mut [usize],
+    mut row: impl FnMut(usize, usize, usize),
+) {
+    let n = cards.len();
+    let (pos, ostride) = assign[..2 * n].split_at_mut(n);
+    out_strides(cards, ostride);
+    let k = n - 1;
+    let (cards, stride_a, stride_b) = (&cards[..k], &stride_a[..k], &stride_b[..k]);
+    let (ostride, masks, pos) = (&ostride[..k], &masks[..k], &mut pos[..k]);
+    let Some((mut ia, mut ib, mut io)) =
+        first_allowed(cards, stride_a, stride_b, ostride, masks, codes, pos)
+    else {
+        return;
+    };
+    loop {
+        row(ia, ib, io);
+        if !advance_allowed(
+            cards, stride_a, stride_b, ostride, masks, codes, pos, &mut ia, &mut ib,
+            &mut io,
+        ) {
+            return;
+        }
+    }
+}
+
+/// `out[·] = a[·] * b[·]` at every result cell allowed by `masks`; every
+/// other cell is zero. `cards` describes the result scope, `stride_a` /
+/// `stride_b` each result variable's stride in an operand (0 where it is
+/// absent). `assign` is scratch of length ≥ `2 · cards.len()`; `out` must
+/// have length `Π cards (min 1)`.
 #[allow(clippy::too_many_arguments)]
-pub fn product_masked_into(
+pub fn product_into(
     a: &[f64],
     b: &[f64],
     cards: &[usize],
@@ -639,39 +553,43 @@ pub fn product_masked_into(
     assign: &mut [usize],
     out: &mut [f64],
 ) {
-    out.fill(0.0);
-    if cards.is_empty() {
+    let Some(last) = cards.len().checked_sub(1) else {
         out[0] = a[0] * b[0];
         return;
-    }
-    let n = cards.len();
-    let (pos, ostride) = assign[..2 * n].split_at_mut(n);
-    out_strides(cards, ostride);
-    let Some((mut ia, mut ib, mut io)) =
-        first_allowed(cards, stride_a, stride_b, ostride, masks, codes, pos)
-    else {
-        return;
     };
-    loop {
-        out[io] = a[ia] * b[ib];
-        if !advance_allowed(
-            cards, stride_a, stride_b, ostride, masks, codes, pos, &mut ia, &mut ib,
-            &mut io,
-        ) {
-            return;
-        }
+    if masks.iter().any(|&m| m != DENSE) {
+        out.fill(0.0);
     }
+    let (inner, sa, sb, lane) =
+        (cards[last], stride_a[last], stride_b[last], masks[last]);
+    for_each_row(cards, stride_a, stride_b, masks, codes, assign, |ia, ib, io| {
+        let row = &mut out[io..io + inner];
+        if lane == DENSE && sa == 1 && sb == 1 {
+            // Both operands contiguous over the innermost variable.
+            let av = &a[ia..ia + inner];
+            let bv = &b[ib..ib + inner];
+            for (slot, (&x, &y)) in row.iter_mut().zip(av.iter().zip(bv)) {
+                *slot = x * y;
+            }
+        } else {
+            for_each_code(inner, lane, codes, |c| {
+                row[c] = a[ia + c * sa] * b[ib + c * sb]
+            });
+        }
+    });
 }
 
-/// Masked [`product_sum_out_into`]: accumulates `Σ_v a · b` over the summed
-/// variable's *allowed* codes only (all of `0..card_v` when `v_mask` is
-/// [`DENSE`]), at every result cell allowed by `masks`; every other cell is
-/// zero. Accumulation stays in ascending `v` order, so skipping a
-/// disallowed code removes exactly one `acc + 0.0` — bit-identity is
-/// preserved for non-negative finite entries. `assign` is scratch of length
+/// Fused product-then-sum-out: `out = Σ_v a · b` over the summed
+/// variable's allowed codes (all of `0..card_v` when `v_mask` is
+/// [`DENSE`]), at every result cell allowed by `masks`; every other cell
+/// is zero. `cards` / `stride_a` / `stride_b` / `masks` describe the
+/// *result* scope (the union with the summed variable removed), and
+/// (`card_v`, `sav`, `sbv`) are the summed variable's cardinality and
+/// per-operand strides. Each cell accumulates in ascending `v` order — the
+/// bit-identity invariant. `assign` is scratch of length
 /// ≥ `2 · cards.len()`.
 #[allow(clippy::too_many_arguments)]
-pub fn product_sum_out_masked_into(
+pub fn product_sum_out_into(
     a: &[f64],
     b: &[f64],
     cards: &[usize],
@@ -686,53 +604,50 @@ pub fn product_sum_out_masked_into(
     assign: &mut [usize],
     out: &mut [f64],
 ) {
-    out.fill(0.0);
-    let sum_v = |ia: usize, ib: usize| -> f64 {
+    let cell = |ia: usize, ib: usize| -> f64 {
         let mut acc = 0.0;
-        if v_mask == DENSE {
-            let (mut oa, mut ob) = (ia, ib);
-            for _ in 0..card_v {
-                acc += a[oa] * b[ob];
-                oa += sav;
-                ob += sbv;
-            }
-        } else {
-            for &c in code_list(codes, v_mask) {
-                acc += a[ia + c * sav] * b[ib + c * sbv];
-            }
-        }
+        for_each_code(card_v, v_mask, codes, |c| {
+            acc += a[ia + c * sav] * b[ib + c * sbv]
+        });
         acc
     };
-    if cards.is_empty() {
-        out[0] = sum_v(0, 0);
-        return;
-    }
-    let n = cards.len();
-    let (pos, ostride) = assign[..2 * n].split_at_mut(n);
-    out_strides(cards, ostride);
-    let Some((mut ia, mut ib, mut io)) =
-        first_allowed(cards, stride_a, stride_b, ostride, masks, codes, pos)
-    else {
+    let Some(last) = cards.len().checked_sub(1) else {
+        out[0] = cell(0, 0);
         return;
     };
-    loop {
-        out[io] = sum_v(ia, ib);
-        if !advance_allowed(
-            cards, stride_a, stride_b, ostride, masks, codes, pos, &mut ia, &mut ib,
-            &mut io,
-        ) {
-            return;
-        }
+    if masks.iter().any(|&m| m != DENSE) {
+        out.fill(0.0);
     }
+    let (inner, sa, sb, lane) =
+        (cards[last], stride_a[last], stride_b[last], masks[last]);
+    for_each_row(cards, stride_a, stride_b, masks, codes, assign, |ia, ib, io| {
+        let row = &mut out[io..io + inner];
+        if lane == DENSE && sa == 1 && sb == 1 {
+            // Contiguous rows: add one whole row per summed code, so every
+            // cell still accumulates its terms in ascending `v` order.
+            row.fill(0.0);
+            for_each_code(card_v, v_mask, codes, |c| {
+                let av = &a[ia + c * sav..][..inner];
+                let bv = &b[ib + c * sbv..][..inner];
+                for (slot, (&x, &y)) in row.iter_mut().zip(av.iter().zip(bv)) {
+                    *slot += x * y;
+                }
+            });
+        } else {
+            for_each_code(inner, lane, codes, |k| {
+                row[k] = cell(ia + k * sa, ib + k * sb)
+            });
+        }
+    });
 }
 
-/// Masked [`sum_out_into`] over a general strided source: for every result
-/// cell allowed by `masks`, `out[·] = Σ_v src[·]` over the summed axis's
-/// allowed codes (`stride` maps each result axis into `src`; `sv` is the
-/// summed axis's stride). Every other cell is zero. `assign` is scratch of
-/// length ≥ `2 · cards.len()`.
+/// Sums out one axis of a general strided source: for every result cell
+/// allowed by `masks`, `out[·] = Σ_v src[·]` over the summed axis's
+/// allowed codes, ascending (`stride` maps each result axis into `src`;
+/// `card_v` / `sv` / `v_mask` describe the summed axis). Every other cell
+/// is zero. `assign` is scratch of length ≥ `2 · cards.len()`.
 #[allow(clippy::too_many_arguments)]
-pub fn sum_out_masked_into(
+pub fn sum_out_into(
     src: &[f64],
     cards: &[usize],
     stride: &[usize],
@@ -744,85 +659,48 @@ pub fn sum_out_masked_into(
     assign: &mut [usize],
     out: &mut [f64],
 ) {
-    out.fill(0.0);
-    let sum_v = |is: usize| -> f64 {
+    let cell = |is: usize| -> f64 {
         let mut acc = 0.0;
-        if v_mask == DENSE {
-            let mut o = is;
-            for _ in 0..card_v {
-                acc += src[o];
-                o += sv;
-            }
-        } else {
-            for &c in code_list(codes, v_mask) {
-                acc += src[is + c * sv];
-            }
-        }
+        for_each_code(card_v, v_mask, codes, |c| acc += src[is + c * sv]);
         acc
     };
-    if cards.is_empty() {
-        out[0] = sum_v(0);
+    let Some(last) = cards.len().checked_sub(1) else {
+        out[0] = cell(0);
         return;
-    }
-    let n = cards.len();
-    let (pos, ostride) = assign[..2 * n].split_at_mut(n);
-    out_strides(cards, ostride);
-    let (mut ia, mut io) = {
-        let (mut ia, mut io) = (0usize, 0usize);
-        let mut ok = true;
-        for k in 0..n {
-            pos[k] = 0;
-            if masks[k] != DENSE {
-                let list = code_list(codes, masks[k]);
-                match list.first() {
-                    Some(&first) => {
-                        ia += first * stride[k];
-                        io += first * ostride[k];
-                    }
-                    None => ok = false,
-                }
-            }
-        }
-        if !ok {
-            return;
-        }
-        (ia, io)
     };
-    loop {
-        out[io] = sum_v(ia);
-        let mut advanced = false;
-        for k in (0..n).rev() {
-            if masks[k] == DENSE {
-                pos[k] += 1;
-                ia += stride[k];
-                io += ostride[k];
-                if pos[k] < cards[k] {
-                    advanced = true;
-                    break;
+    if masks.iter().any(|&m| m != DENSE) {
+        out.fill(0.0);
+    }
+    let (inner, s, lane) = (cards[last], stride[last], masks[last]);
+    // The odometer's second operand mirrors `src` and goes unused.
+    for_each_row(cards, stride, stride, masks, codes, assign, |is, _, io| {
+        let row = &mut out[io..io + inner];
+        if lane == DENSE && s == 1 {
+            row.fill(0.0);
+            for_each_code(card_v, v_mask, codes, |c| {
+                for (slot, &x) in row.iter_mut().zip(&src[is + c * sv..][..inner]) {
+                    *slot += x;
                 }
-                pos[k] = 0;
-                ia -= stride[k] * cards[k];
-                io -= ostride[k] * cards[k];
-            } else {
-                let list = code_list(codes, masks[k]);
-                let cur = list[pos[k]];
-                pos[k] += 1;
-                if pos[k] < list.len() {
-                    let d = list[pos[k]] - cur;
-                    ia += d * stride[k];
-                    io += d * ostride[k];
-                    advanced = true;
-                    break;
-                }
-                pos[k] = 0;
-                let d = cur - list[0];
-                ia -= d * stride[k];
-                io -= d * ostride[k];
+            });
+        } else {
+            for_each_code(inner, lane, codes, |k| row[k] = cell(is + k * s));
+        }
+    });
+}
+
+/// Zeroes the runs of `data` whose code for the reduced axis (cardinality
+/// `card`, run length `inner`) is not allowed. Pure zeroing — no float
+/// arithmetic — so applying masks in any order yields identical bits.
+pub fn reduce_in_place(data: &mut [f64], card: usize, inner: usize, allowed: &[bool]) {
+    let mut base = 0usize;
+    while base < data.len() {
+        for (c, &ok) in allowed.iter().enumerate().take(card) {
+            if !ok {
+                let start = base + c * inner;
+                data[start..start + inner].fill(0.0);
             }
         }
-        if !advanced {
-            return;
-        }
+        base += card * inner;
     }
 }
 
@@ -1037,7 +915,7 @@ mod tests {
             let (codes, masks) = encode_masks(&allowed);
             let mut out = vec![f64::NAN; a.product(&b).len()];
             let mut assign = vec![0usize; 2 * vars.len()];
-            product_masked_into(
+            product_into(
                 a.data(),
                 b.data(),
                 &cards,
@@ -1089,7 +967,7 @@ mod tests {
             let len: usize = cards.iter().product::<usize>().max(1);
             let mut out = vec![f64::NAN; len];
             let mut assign = vec![0usize; 2 * cards.len().max(1)];
-            product_sum_out_masked_into(
+            product_sum_out_into(
                 a.data(),
                 b.data(),
                 &cards,
@@ -1138,7 +1016,7 @@ mod tests {
             let len: usize = cards.iter().product::<usize>().max(1);
             let mut out = vec![f64::NAN; len];
             let mut assign = vec![0usize; 2 * cards.len().max(1)];
-            sum_out_masked_into(
+            sum_out_into(
                 f.data(),
                 &cards,
                 &stride,
@@ -1167,7 +1045,7 @@ mod tests {
         let sb = strides_in(b.vars(), b.cards(), &vars);
         let mut out = vec![f64::NAN; 6];
         let mut assign = vec![0usize; 4];
-        product_masked_into(
+        product_into(
             a.data(),
             b.data(),
             &cards,

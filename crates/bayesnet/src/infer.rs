@@ -647,23 +647,6 @@ mod tests {
     }
 
     #[test]
-    fn infer_failpoint_injects_fault_abort() {
-        failpoint::arm("infer.eliminate", failpoint::Action::Err);
-        let bn = paper_chain();
-        let mut ev = Evidence::new();
-        ev.eq(1, 0, 3);
-        let (factors, relevant) = reduced_relevant_factors(&bn, &ev, &[]);
-        let elim: Vec<usize> = (0..bn.len()).filter(|&v| relevant[v]).collect();
-        let r =
-            try_eliminate_all(factors, &elim, |v| bn.card(v), InferBudget::unlimited());
-        failpoint::disarm("infer.eliminate");
-        match r.unwrap_err() {
-            InferAbort::Fault(msg) => assert!(msg.contains("infer.eliminate"), "{msg}"),
-            other => panic!("expected fault abort, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn barren_nodes_are_pruned() {
         // Evidence only on the root: the two descendants are barren; the
         // answer must equal the root marginal regardless.

@@ -6,8 +6,7 @@
 use bayesnet::cpd::TableCpd;
 use bayesnet::discretize::Discretizer;
 use bayesnet::factor::{
-    product_masked_into, product_sum_out_masked_into, strides_in, sum_out_masked_into,
-    union_scope, DENSE,
+    product_into, product_sum_out_into, strides_in, sum_out_into, union_scope, DENSE,
 };
 use bayesnet::learn::treecpd::{grow_tree, TreeGrowOptions};
 use bayesnet::{probability_of_evidence, BayesNet, Evidence, Factor, JoinTree};
@@ -248,8 +247,8 @@ fn encode_masks(
     (codes, offs)
 }
 
-/// Reduce-then-dense reference: `f` with every masked variable in its
-/// scope reduced through the ordinary [`Factor::reduce`] path.
+/// `f` with every masked variable in its scope reduced through the
+/// ordinary [`Factor::reduce`] path.
 fn reduce_all(f: &Factor, masks_by_var: &[Option<Vec<bool>>]) -> Factor {
     let mut r = f.clone();
     for &v in f.vars() {
@@ -258,6 +257,74 @@ fn reduce_all(f: &Factor, masks_by_var: &[Option<Vec<bool>>]) -> Factor {
         }
     }
     r
+}
+
+/// `f`'s entry at an assignment of `vars` (one code per variable, in
+/// `vars` order, covering `f`'s scope).
+fn at(f: &Factor, vars: &[usize], assign: &[u32]) -> f64 {
+    let own: Vec<u32> = f
+        .vars()
+        .iter()
+        .map(|v| assign[vars.iter().position(|u| u == v).expect("var in scope")])
+        .collect();
+    f.value_at(&own)
+}
+
+/// Naive per-assignment evaluator, the independent reference for the
+/// kernels: for every result cell of `rvars`/`rcards` in row-major order,
+/// `term` at that assignment, or — when `summed` names a variable and its
+/// cardinality — the sum of `term` over that variable's codes,
+/// accumulated from `0.0` in ascending code order. Built only on
+/// [`Factor::value_at`] (through `term`), no strides or odometers.
+fn oracle(
+    rvars: &[usize],
+    rcards: &[usize],
+    summed: Option<(usize, usize)>,
+    term: impl Fn(&[usize], &[u32]) -> f64,
+) -> Vec<f64> {
+    let len: usize = rcards.iter().product::<usize>().max(1);
+    let mut vars = rvars.to_vec();
+    vars.extend(summed.map(|(v, _)| v));
+    (0..len)
+        .map(|mut i| {
+            let mut cell = vec![0u32; rcards.len()];
+            for k in (0..rcards.len()).rev() {
+                cell[k] = (i % rcards[k]) as u32;
+                i /= rcards[k];
+            }
+            match summed {
+                None => term(&vars, &cell),
+                Some((_, card)) => {
+                    let mut acc = 0.0;
+                    cell.push(0);
+                    for c in 0..card as u32 {
+                        *cell.last_mut().expect("summed code") = c;
+                        acc += term(&vars, &cell);
+                    }
+                    acc
+                }
+            }
+        })
+        .collect()
+}
+
+/// The shared codes buffer with `v`'s region (if masked) spliced onto the
+/// end of the result axes' regions, plus the summed variable's mask slot.
+fn encode_with_summed(
+    masks_by_var: &[Option<Vec<bool>>],
+    rvars: &[usize],
+    v: usize,
+) -> (Vec<usize>, Vec<usize>, usize) {
+    let (mut codes, offs) = encode_masks(masks_by_var, rvars);
+    let (vcodes, voffs) = encode_masks(masks_by_var, &[v]);
+    let v_mask = if voffs[0] == DENSE {
+        DENSE
+    } else {
+        let at = codes.len();
+        codes.extend_from_slice(&vcodes);
+        at
+    };
+    (codes, offs, v_mask)
 }
 
 /// Random operands `a` over vars `{0,1,2}` and `b` over `{1,2,3}` with
@@ -287,10 +354,11 @@ fn arb_masked_case(
     })
 }
 
-// The masked kernels must be `f64::to_bits`-identical to reducing the
-// operands and running the dense pipeline — the equivalence
-// `prmsel::plan` relies on when it lowers evidence-dependent ops into
-// masked replay steps (skipped runs contribute exactly +0.0).
+// Every kernel must be `f64::to_bits`-identical to the naive evaluator
+// over the reduced operands — with the random masks and with all-`DENSE`
+// masks (the `Factor` methods' case). This is the equivalence
+// `prmsel::plan` relies on when it replays evidence-dependent ops over
+// base factor data (skipped runs contribute exactly +0.0).
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -298,19 +366,23 @@ proptest! {
     fn product_masked_matches_reduce_then_dense(
         (_, a, b, masks, _) in arb_masked_case()
     ) {
-        let want = reduce_all(&a, &masks).product(&reduce_all(&b, &masks));
-        let (uvars, ucards) = union_scope(&a, &b);
-        let sa = strides_in(a.vars(), a.cards(), &uvars);
-        let sb = strides_in(b.vars(), b.cards(), &uvars);
-        let (codes, offs) = encode_masks(&masks, &uvars);
-        let mut assign = vec![0usize; 2 * ucards.len()];
-        let mut out = vec![f64::NAN; ucards.iter().product::<usize>().max(1)];
-        product_masked_into(
-            a.data(), b.data(), &ucards, &sa, &sb, &offs, &codes, &mut assign, &mut out,
-        );
-        prop_assert_eq!(want.data().len(), out.len());
-        for (w, g) in want.data().iter().zip(&out) {
-            prop_assert_eq!(w.to_bits(), g.to_bits());
+        for masks in [masks, vec![None; 4]] {
+            let (ra, rb) = (reduce_all(&a, &masks), reduce_all(&b, &masks));
+            let (uvars, ucards) = union_scope(&a, &b);
+            let want = oracle(&uvars, &ucards, None, |vars, asg| {
+                at(&ra, vars, asg) * at(&rb, vars, asg)
+            });
+            let sa = strides_in(a.vars(), a.cards(), &uvars);
+            let sb = strides_in(b.vars(), b.cards(), &uvars);
+            let (codes, offs) = encode_masks(&masks, &uvars);
+            let mut assign = vec![0usize; 2 * ucards.len()];
+            let mut out = vec![f64::NAN; want.len()];
+            product_into(
+                a.data(), b.data(), &ucards, &sa, &sb, &offs, &codes, &mut assign, &mut out,
+            );
+            for (w, g) in want.iter().zip(&out) {
+                prop_assert_eq!(w.to_bits(), g.to_bits());
+            }
         }
     }
 
@@ -318,68 +390,54 @@ proptest! {
     fn product_sum_out_masked_matches_reduce_then_dense(
         (cards, a, b, masks, v) in arb_masked_case()
     ) {
-        let want = reduce_all(&a, &masks).product(&reduce_all(&b, &masks)).sum_out(v);
-        let (uvars, _) = union_scope(&a, &b);
-        let rvars: Vec<usize> = uvars.iter().copied().filter(|&u| u != v).collect();
-        let rcards: Vec<usize> = want.cards().to_vec();
-        let sa = strides_in(a.vars(), a.cards(), &rvars);
-        let sb = strides_in(b.vars(), b.cards(), &rvars);
-        let (codes, offs) = encode_masks(&masks, &rvars);
-        let (vcodes, voffs) = encode_masks(&masks, &[v]);
-        // Splice v's region (if any) onto the end of the shared buffer.
-        let mut codes = codes;
-        let v_mask = if voffs[0] == DENSE {
-            DENSE
-        } else {
-            let at = codes.len();
-            codes.extend_from_slice(&vcodes);
-            at
-        };
-        let card_v = cards[v];
-        let sav = strides_in(a.vars(), a.cards(), &[v])[0];
-        let sbv = strides_in(b.vars(), b.cards(), &[v])[0];
-        let mut assign = vec![0usize; 2 * rcards.len().max(1)];
-        let mut out = vec![f64::NAN; rcards.iter().product::<usize>().max(1)];
-        product_sum_out_masked_into(
-            a.data(), b.data(), &rcards, &sa, &sb, &offs, &codes, card_v, sav, sbv,
-            v_mask, &mut assign, &mut out,
-        );
-        prop_assert_eq!(want.data().len(), out.len());
-        for (w, g) in want.data().iter().zip(&out) {
-            prop_assert_eq!(w.to_bits(), g.to_bits());
+        for masks in [masks, vec![None; 4]] {
+            let (ra, rb) = (reduce_all(&a, &masks), reduce_all(&b, &masks));
+            let (uvars, _) = union_scope(&a, &b);
+            let rvars: Vec<usize> = uvars.iter().copied().filter(|&u| u != v).collect();
+            let rcards: Vec<usize> = rvars.iter().map(|&u| cards[u]).collect();
+            let want = oracle(&rvars, &rcards, Some((v, cards[v])), |vars, asg| {
+                at(&ra, vars, asg) * at(&rb, vars, asg)
+            });
+            let sa = strides_in(a.vars(), a.cards(), &rvars);
+            let sb = strides_in(b.vars(), b.cards(), &rvars);
+            let (codes, offs, v_mask) = encode_with_summed(&masks, &rvars, v);
+            let sav = strides_in(a.vars(), a.cards(), &[v])[0];
+            let sbv = strides_in(b.vars(), b.cards(), &[v])[0];
+            let mut assign = vec![0usize; 2 * rcards.len()];
+            let mut out = vec![f64::NAN; want.len()];
+            product_sum_out_into(
+                a.data(), b.data(), &rcards, &sa, &sb, &offs, &codes, cards[v], sav, sbv,
+                v_mask, &mut assign, &mut out,
+            );
+            for (w, g) in want.iter().zip(&out) {
+                prop_assert_eq!(w.to_bits(), g.to_bits());
+            }
         }
     }
 
     #[test]
     fn sum_out_masked_matches_reduce_then_dense(
-        (_, a, _, masks, v0) in arb_masked_case()
+        (cards, a, _, masks, v0) in arb_masked_case()
     ) {
-        let v = a.vars()[v0 % a.vars().len()];
-        let want = reduce_all(&a, &masks).sum_out(v);
-        let rvars: Vec<usize> = a.vars().iter().copied().filter(|&u| u != v).collect();
-        let rcards: Vec<usize> = want.cards().to_vec();
-        let stride = strides_in(a.vars(), a.cards(), &rvars);
-        let sv = strides_in(a.vars(), a.cards(), &[v])[0];
-        let card_v = a.cards()[a.vars().iter().position(|&x| x == v).unwrap()];
-        let (codes, offs) = encode_masks(&masks, &rvars);
-        let (vcodes, voffs) = encode_masks(&masks, &[v]);
-        let mut codes = codes;
-        let v_mask = if voffs[0] == DENSE {
-            DENSE
-        } else {
-            let at = codes.len();
-            codes.extend_from_slice(&vcodes);
-            at
-        };
-        let mut assign = vec![0usize; 2 * rcards.len().max(1)];
-        let mut out = vec![f64::NAN; rcards.iter().product::<usize>().max(1)];
-        sum_out_masked_into(
-            a.data(), &rcards, &stride, &offs, &codes, card_v, sv, v_mask, &mut assign,
-            &mut out,
-        );
-        prop_assert_eq!(want.data().len(), out.len());
-        for (w, g) in want.data().iter().zip(&out) {
-            prop_assert_eq!(w.to_bits(), g.to_bits());
+        for masks in [masks, vec![None; 4]] {
+            let ra = reduce_all(&a, &masks);
+            let v = a.vars()[v0 % a.vars().len()];
+            let rvars: Vec<usize> = a.vars().iter().copied().filter(|&u| u != v).collect();
+            let rcards: Vec<usize> = rvars.iter().map(|&u| cards[u]).collect();
+            let want =
+                oracle(&rvars, &rcards, Some((v, cards[v])), |vars, asg| at(&ra, vars, asg));
+            let stride = strides_in(a.vars(), a.cards(), &rvars);
+            let sv = strides_in(a.vars(), a.cards(), &[v])[0];
+            let (codes, offs, v_mask) = encode_with_summed(&masks, &rvars, v);
+            let mut assign = vec![0usize; 2 * rcards.len()];
+            let mut out = vec![f64::NAN; want.len()];
+            sum_out_into(
+                a.data(), &rcards, &stride, &offs, &codes, cards[v], sv, v_mask, &mut assign,
+                &mut out,
+            );
+            for (w, g) in want.iter().zip(&out) {
+                prop_assert_eq!(w.to_bits(), g.to_bits());
+            }
         }
     }
 }

@@ -143,12 +143,21 @@ fn monitor_command_serves_all_endpoints() {
         assert_eq!(httpd::get(&addr, "/nope").unwrap().0, 404);
 
         // `stats --from-url` scrapes + lints + re-renders the same plane.
-        let stats = run(&s(&["stats", "--from-url", &addr, "--pretty"])).unwrap();
+        // The port file appears before the model is built, so poll until
+        // the workload's first estimates have reached the registry.
+        let has_estimates =
+            |st: &str| st.contains("prm.estimate.ns") || st.contains("prm_estimate_ns");
+        let mut tries = 0;
+        let stats = loop {
+            let stats = run(&s(&["stats", "--from-url", &addr, "--pretty"])).unwrap();
+            tries += 1;
+            if has_estimates(&stats) || tries >= 200 {
+                break stats;
+            }
+            std::thread::sleep(Duration::from_millis(25));
+        };
         assert!(stats.contains("lint-clean"), "{stats}");
-        assert!(
-            stats.contains("prm.estimate.ns") || stats.contains("prm_estimate_ns"),
-            "{stats}"
-        );
+        assert!(has_estimates(&stats), "{stats}");
 
         let out = handle.join().unwrap().unwrap();
         assert!(out.contains("monitor: served"), "{out}");

@@ -754,14 +754,6 @@ mod tests {
         assert_eq!(t.domains[idx].value(0), &Value::from("no"));
     }
 
-    #[test]
-    fn load_failpoint_injects_internal_error() {
-        failpoint::arm("persist.load", failpoint::Action::Err);
-        let r = load_model(serialized_model().as_slice());
-        failpoint::disarm("persist.load");
-        assert_eq!(r.unwrap_err().class(), ErrorClass::Internal);
-    }
-
     fn sample_keys() -> Vec<crate::plan::PlanKey> {
         vec![
             crate::plan::PlanKey {

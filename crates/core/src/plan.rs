@@ -73,8 +73,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use bayesnet::factor::{
-    product_into, product_masked_into, product_sum_out_into, product_sum_out_masked_into,
-    strides_in, sum_out_into, sum_out_masked_into, DENSE,
+    product_into, product_sum_out_into, strides_in, sum_out_into, DENSE,
 };
 use bayesnet::{elimination_order, Factor, InferAbort};
 use reldb::{Join, Pred, Query};
@@ -499,7 +498,7 @@ struct Arena {
     f64s: Vec<f64>,
     bools: Vec<bool>,
     scratch: Vec<usize>,
-    /// Allowed-code lists for the masked kernels, one `[len, code…]`
+    /// Allowed-code lists for the kernels' masks, one `[len, code…]`
     /// region per mask slot at its compile-assigned `codes_off` —
     /// re-encoded from the decoded bool masks on every memo miss.
     codes: Vec<usize>,
@@ -632,7 +631,7 @@ struct PredSlot {
 
 /// One per-node predicate mask region in the bool arena, plus the
 /// matching allowed-code region in the codes arena (`[len, code…]`,
-/// capacity `card + 1`) the masked kernels walk.
+/// capacity `card + 1`) the kernels walk.
 #[derive(Debug, Clone, Copy)]
 struct MaskSlot {
     node: usize,
@@ -659,45 +658,15 @@ enum Src {
     Const { off: usize, len: usize },
 }
 
-/// One kernel invocation of the replay program. All strides, cards, and
-/// arena offsets are precomputed at compile time; output offsets are
+/// One kernel invocation of the replay program. All strides, cards, masks,
+/// and arena offsets are precomputed at compile time; output offsets are
 /// strictly increasing so `split_at_mut` yields disjoint operand/output
-/// slices.
+/// slices. `masks[k]` is the codes-arena offset of result axis `k`'s
+/// allowed-code list, or [`DENSE`] when no predicate pins that axis; an op
+/// whose masks are all `DENSE` is the plain unmasked operation.
 #[derive(Debug)]
 enum OpKind {
     Product {
-        a: Src,
-        b: Src,
-        cards: Vec<usize>,
-        stride_a: Vec<usize>,
-        stride_b: Vec<usize>,
-        off: usize,
-        len: usize,
-    },
-    ProductSumOut {
-        a: Src,
-        b: Src,
-        cards: Vec<usize>,
-        stride_a: Vec<usize>,
-        stride_b: Vec<usize>,
-        card_v: usize,
-        sav: usize,
-        sbv: usize,
-        off: usize,
-        len: usize,
-    },
-    SumOut {
-        src: Src,
-        outer: usize,
-        card: usize,
-        inner: usize,
-        off: usize,
-        len: usize,
-    },
-    /// Masked product over evidence-touched operands: iterates only the
-    /// allowed index runs of every masked result axis. `masks[k]` is a
-    /// codes-arena offset or [`DENSE`].
-    ProductMasked {
         a: Src,
         b: Src,
         cards: Vec<usize>,
@@ -707,9 +676,9 @@ enum OpKind {
         off: usize,
         len: usize,
     },
-    /// Masked fused product-sum-out; `v_mask` restricts the summed
-    /// variable's codes (codes-arena offset or [`DENSE`]).
-    ProductSumOutMasked {
+    /// Fused product-sum-out; `v_mask` restricts the summed variable's
+    /// codes (codes-arena offset or [`DENSE`]).
+    ProductSumOut {
         a: Src,
         b: Src,
         cards: Vec<usize>,
@@ -723,9 +692,9 @@ enum OpKind {
         off: usize,
         len: usize,
     },
-    /// Masked single-operand sum-out; `stride` maps each result axis into
-    /// the source, `sv`/`card_v`/`v_mask` describe the summed axis.
-    SumOutMasked {
+    /// Single-operand sum-out; `stride` maps each result axis into the
+    /// source, `sv`/`card_v`/`v_mask` describe the summed axis.
+    SumOut {
         src: Src,
         cards: Vec<usize>,
         stride: Vec<usize>,
@@ -744,38 +713,36 @@ impl OpKind {
         match *self {
             OpKind::Product { off, len, .. }
             | OpKind::ProductSumOut { off, len, .. }
-            | OpKind::SumOut { off, len, .. }
-            | OpKind::ProductMasked { off, len, .. }
-            | OpKind::ProductSumOutMasked { off, len, .. }
-            | OpKind::SumOutMasked { off, len, .. } => (off, len),
+            | OpKind::SumOut { off, len, .. } => (off, len),
         }
     }
 
     /// The op's operand sources (compile-time rewriting only).
     fn inputs_mut(&mut self) -> Vec<&mut Src> {
         match self {
-            OpKind::Product { a, b, .. }
-            | OpKind::ProductSumOut { a, b, .. }
-            | OpKind::ProductMasked { a, b, .. }
-            | OpKind::ProductSumOutMasked { a, b, .. } => vec![a, b],
-            OpKind::SumOut { src, .. } | OpKind::SumOutMasked { src, .. } => vec![src],
+            OpKind::Product { a, b, .. } | OpKind::ProductSumOut { a, b, .. } => {
+                vec![a, b]
+            }
+            OpKind::SumOut { src, .. } => vec![src],
         }
     }
 
-    /// True when every operand is evidence-independent, i.e. the op
-    /// computes the same bytes for every query of the template. Masked
-    /// ops read per-query allowed-code lists, so they are never const
-    /// regardless of their operand sources.
+    /// True when the op computes the same bytes for every query of the
+    /// template: every operand is evidence-independent and every mask is
+    /// [`DENSE`] (a mask region is re-encoded per query).
     fn is_const(&self) -> bool {
         let constant = |s: &Src| matches!(s, Src::Base(_) | Src::Const { .. });
+        let dense = |m: &usize| *m == DENSE;
         match self {
-            OpKind::Product { a, b, .. } | OpKind::ProductSumOut { a, b, .. } => {
-                constant(a) && constant(b)
+            OpKind::Product { a, b, masks, .. } => {
+                constant(a) && constant(b) && masks.iter().all(dense)
             }
-            OpKind::SumOut { src, .. } => constant(src),
-            OpKind::ProductMasked { .. }
-            | OpKind::ProductSumOutMasked { .. }
-            | OpKind::SumOutMasked { .. } => false,
+            OpKind::ProductSumOut { a, b, masks, v_mask, .. } => {
+                constant(a) && constant(b) && masks.iter().all(dense) && dense(v_mask)
+            }
+            OpKind::SumOut { src, masks, v_mask, .. } => {
+                constant(src) && masks.iter().all(dense) && dense(v_mask)
+            }
         }
     }
 }
@@ -930,15 +897,15 @@ impl QueryPlan {
         // the identical arithmetic with zero per-query bookkeeping.
         //
         // Each simulated slot tracks which of its scope variables are
-        // *pinned* by a predicate mask. An op with any pinned operand
-        // variable lowers to a masked kernel that walks only the allowed
-        // codes of those axes, reading the *base* factor data directly:
-        // at every allowed index the reduced data equals the base data,
-        // and every skipped index would have contributed exactly +0.0, so
-        // no reduced copy is ever materialized (DESIGN.md §6h). Summing a
-        // pinned variable out un-pins it — the masked op wrote true
-        // (reduced-equivalent) dense data, so downstream ops are ordinary
-        // dense ops again.
+        // *pinned* by a predicate mask. An op's masks name the allowed-code
+        // list of every pinned axis, so its kernel walks only the allowed
+        // codes there, reading the *base* factor data directly: at every
+        // allowed index the reduced data equals the base data, and every
+        // skipped index would have contributed exactly +0.0, so no reduced
+        // copy is ever materialized (DESIGN.md §6h). Unpinned axes are
+        // `DENSE`. Summing a pinned variable out un-pins it — the op wrote
+        // true (reduced-equivalent) data, so downstream ops see that axis
+        // as `DENSE` again.
         struct Sim {
             vars: Vec<usize>,
             cards: Vec<usize>,
@@ -1001,57 +968,25 @@ impl QueryPlan {
             let mut acc = iter.next().expect("at least one factor");
             let result = if n_factors == 1 {
                 let pos = acc.vars.iter().position(|&v| v == var).expect("var in scope");
-                let card = acc.cards[pos];
+                let mut stride = strides_in(&acc.vars, &acc.cards, &acc.vars);
                 let mut vars = acc.vars;
                 let mut cards = acc.cards;
                 vars.remove(pos);
-                let len: usize = {
-                    let mut c = cards.clone();
-                    c.remove(pos);
-                    c.iter().product::<usize>().max(1)
-                };
-                if acc.pinned.is_empty() {
-                    let outer: usize = cards[..pos].iter().product::<usize>().max(1);
-                    let inner: usize = cards[pos + 1..].iter().product::<usize>().max(1);
-                    cards.remove(pos);
-                    ops.push(OpKind::SumOut {
-                        src: acc.src,
-                        outer,
-                        card,
-                        inner,
-                        off: f64_off,
-                        len,
-                    });
-                } else {
-                    let mut stride = {
-                        let full: Vec<usize> = {
-                            let mut s = vec![0usize; cards.len()];
-                            let mut acc_s = 1usize;
-                            for i in (0..cards.len()).rev() {
-                                s[i] = acc_s;
-                                acc_s *= cards[i];
-                            }
-                            s
-                        };
-                        full
-                    };
-                    let sv = stride.remove(pos);
-                    let v_mask = mask_of(&acc.pinned, var);
-                    cards.remove(pos);
-                    let masks = masks_for(&acc.pinned, &vars);
-                    scratch_len = scratch_len.max(2 * cards.len());
-                    ops.push(OpKind::SumOutMasked {
-                        src: acc.src,
-                        cards: cards.clone(),
-                        stride,
-                        masks,
-                        card_v: card,
-                        sv,
-                        v_mask,
-                        off: f64_off,
-                        len,
-                    });
-                }
+                let card_v = cards.remove(pos);
+                let sv = stride.remove(pos);
+                let len: usize = cards.iter().product::<usize>().max(1);
+                scratch_len = scratch_len.max(2 * cards.len());
+                ops.push(OpKind::SumOut {
+                    src: acc.src,
+                    cards: cards.clone(),
+                    stride,
+                    masks: masks_for(&acc.pinned, &vars),
+                    card_v,
+                    sv,
+                    v_mask: mask_of(&acc.pinned, var),
+                    off: f64_off,
+                    len,
+                });
                 let src = Src::Work { off: f64_off, len };
                 f64_off += len;
                 let pinned: Vec<(usize, usize)> =
@@ -1062,35 +997,19 @@ impl QueryPlan {
                     let b = iter.next().expect("n - 2 more factors");
                     let (uvars, ucards) =
                         union_scope_parts(&acc.vars, &acc.cards, &b.vars, &b.cards);
-                    let stride_a = strides_in(&acc.vars, &acc.cards, &uvars);
-                    let stride_b = strides_in(&b.vars, &b.cards, &uvars);
                     let len: usize = ucards.iter().product::<usize>().max(1);
                     let pinned = merge_pinned(&acc.pinned, &b.pinned);
-                    if pinned.is_empty() {
-                        scratch_len = scratch_len.max(uvars.len());
-                        ops.push(OpKind::Product {
-                            a: acc.src,
-                            b: b.src,
-                            cards: ucards.clone(),
-                            stride_a,
-                            stride_b,
-                            off: f64_off,
-                            len,
-                        });
-                    } else {
-                        let masks = masks_for(&pinned, &uvars);
-                        scratch_len = scratch_len.max(2 * uvars.len());
-                        ops.push(OpKind::ProductMasked {
-                            a: acc.src,
-                            b: b.src,
-                            cards: ucards.clone(),
-                            stride_a,
-                            stride_b,
-                            masks,
-                            off: f64_off,
-                            len,
-                        });
-                    }
+                    scratch_len = scratch_len.max(2 * uvars.len());
+                    ops.push(OpKind::Product {
+                        a: acc.src,
+                        b: b.src,
+                        cards: ucards.clone(),
+                        stride_a: strides_in(&acc.vars, &acc.cards, &uvars),
+                        stride_b: strides_in(&b.vars, &b.cards, &uvars),
+                        masks: masks_for(&pinned, &uvars),
+                        off: f64_off,
+                        len,
+                    });
                     acc = Sim {
                         vars: uvars,
                         cards: ucards,
@@ -1103,53 +1022,30 @@ impl QueryPlan {
                 let (uvars, ucards) =
                     union_scope_parts(&acc.vars, &acc.cards, &b.vars, &b.cards);
                 let pos = uvars.iter().position(|&v| v == var).expect("var in union");
-                let stride_a = strides_in(&acc.vars, &acc.cards, &uvars);
-                let stride_b = strides_in(&b.vars, &b.cards, &uvars);
-                let card_v = ucards[pos];
-                let (sav, sbv) = (stride_a[pos], stride_b[pos]);
+                let mut stride_a = strides_in(&acc.vars, &acc.cards, &uvars);
+                let mut stride_b = strides_in(&b.vars, &b.cards, &uvars);
                 let mut vars = uvars;
                 let mut cards = ucards;
-                let mut rstride_a = stride_a;
-                let mut rstride_b = stride_b;
                 vars.remove(pos);
-                cards.remove(pos);
-                rstride_a.remove(pos);
-                rstride_b.remove(pos);
+                let card_v = cards.remove(pos);
+                let (sav, sbv) = (stride_a.remove(pos), stride_b.remove(pos));
                 let len: usize = cards.iter().product::<usize>().max(1);
                 let pinned = merge_pinned(&acc.pinned, &b.pinned);
-                if pinned.is_empty() {
-                    scratch_len = scratch_len.max(cards.len());
-                    ops.push(OpKind::ProductSumOut {
-                        a: acc.src,
-                        b: b.src,
-                        cards: cards.clone(),
-                        stride_a: rstride_a,
-                        stride_b: rstride_b,
-                        card_v,
-                        sav,
-                        sbv,
-                        off: f64_off,
-                        len,
-                    });
-                } else {
-                    let v_mask = mask_of(&pinned, var);
-                    let masks = masks_for(&pinned, &vars);
-                    scratch_len = scratch_len.max(2 * cards.len());
-                    ops.push(OpKind::ProductSumOutMasked {
-                        a: acc.src,
-                        b: b.src,
-                        cards: cards.clone(),
-                        stride_a: rstride_a,
-                        stride_b: rstride_b,
-                        masks,
-                        card_v,
-                        sav,
-                        sbv,
-                        v_mask,
-                        off: f64_off,
-                        len,
-                    });
-                }
+                scratch_len = scratch_len.max(2 * cards.len());
+                ops.push(OpKind::ProductSumOut {
+                    a: acc.src,
+                    b: b.src,
+                    cards: cards.clone(),
+                    stride_a,
+                    stride_b,
+                    masks: masks_for(&pinned, &vars),
+                    card_v,
+                    sav,
+                    sbv,
+                    v_mask: mask_of(&pinned, var),
+                    off: f64_off,
+                    len,
+                });
                 let src = Src::Work { off: f64_off, len };
                 f64_off += len;
                 let pinned: Vec<(usize, usize)> =
@@ -1198,7 +1094,7 @@ impl QueryPlan {
                     }
                 }
                 if foldable && op.is_const() {
-                    run_const_op(&factors, &op, &mut consts, &mut fold_scratch);
+                    run_op(&op, &factors, None, &mut consts, &[], &mut fold_scratch);
                     folded.insert(op.out().0);
                     obs::counter!("prm.plan.ops.folded").inc();
                 } else {
@@ -1367,7 +1263,14 @@ impl QueryPlan {
             let flight_t0 = obs::flight::active().then(obs::flight::now_ns);
             let start = std::time::Instant::now();
             for op in &step.ops {
-                self.run_op(op, arena);
+                run_op(
+                    op,
+                    &self.factors,
+                    Some(&self.consts),
+                    &mut arena.f64s,
+                    &arena.codes,
+                    &mut arena.scratch,
+                );
             }
             let elapsed = start.elapsed();
             if let Some(t0) = flight_t0 {
@@ -1388,7 +1291,7 @@ impl QueryPlan {
             None => {
                 let mut p = 1.0f64;
                 for src in &self.leftovers {
-                    p *= self.scalar_of(src, arena);
+                    p *= operand(src, &self.factors, &self.consts, &arena.f64s)[0];
                 }
                 p
             }
@@ -1406,165 +1309,6 @@ impl QueryPlan {
             size *= rows;
         }
         Ok(size)
-    }
-
-    /// Executes one replay op against the arena. Output offsets strictly
-    /// exceed every operand offset (bump-assigned at compile time), so
-    /// `split_at_mut` hands out disjoint slices.
-    fn run_op(&self, op: &OpKind, arena: &mut Arena) {
-        match op {
-            OpKind::Product { a, b, cards, stride_a, stride_b, off, len } => {
-                let (lo, hi) = arena.f64s.split_at_mut(*off);
-                let lo: &[f64] = lo;
-                let out = &mut hi[..*len];
-                let av = self.resolve(a, lo);
-                let bv = self.resolve(b, lo);
-                product_into(av, bv, cards, stride_a, stride_b, &mut arena.scratch, out);
-            }
-            OpKind::ProductSumOut {
-                a,
-                b,
-                cards,
-                stride_a,
-                stride_b,
-                card_v,
-                sav,
-                sbv,
-                off,
-                len,
-            } => {
-                let (lo, hi) = arena.f64s.split_at_mut(*off);
-                let lo: &[f64] = lo;
-                let out = &mut hi[..*len];
-                let av = self.resolve(a, lo);
-                let bv = self.resolve(b, lo);
-                product_sum_out_into(
-                    av,
-                    bv,
-                    cards,
-                    stride_a,
-                    stride_b,
-                    *card_v,
-                    *sav,
-                    *sbv,
-                    &mut arena.scratch,
-                    out,
-                );
-            }
-            OpKind::SumOut { src, outer, card, inner, off, len } => {
-                let (lo, hi) = arena.f64s.split_at_mut(*off);
-                let lo: &[f64] = lo;
-                let out = &mut hi[..*len];
-                let sv = self.resolve(src, lo);
-                sum_out_into(sv, *outer, *card, *inner, out);
-            }
-            OpKind::ProductMasked {
-                a,
-                b,
-                cards,
-                stride_a,
-                stride_b,
-                masks,
-                off,
-                len,
-            } => {
-                let (lo, hi) = arena.f64s.split_at_mut(*off);
-                let lo: &[f64] = lo;
-                let out = &mut hi[..*len];
-                let av = self.resolve(a, lo);
-                let bv = self.resolve(b, lo);
-                product_masked_into(
-                    av,
-                    bv,
-                    cards,
-                    stride_a,
-                    stride_b,
-                    masks,
-                    &arena.codes,
-                    &mut arena.scratch,
-                    out,
-                );
-            }
-            OpKind::ProductSumOutMasked {
-                a,
-                b,
-                cards,
-                stride_a,
-                stride_b,
-                masks,
-                card_v,
-                sav,
-                sbv,
-                v_mask,
-                off,
-                len,
-            } => {
-                let (lo, hi) = arena.f64s.split_at_mut(*off);
-                let lo: &[f64] = lo;
-                let out = &mut hi[..*len];
-                let av = self.resolve(a, lo);
-                let bv = self.resolve(b, lo);
-                product_sum_out_masked_into(
-                    av,
-                    bv,
-                    cards,
-                    stride_a,
-                    stride_b,
-                    masks,
-                    &arena.codes,
-                    *card_v,
-                    *sav,
-                    *sbv,
-                    *v_mask,
-                    &mut arena.scratch,
-                    out,
-                );
-            }
-            OpKind::SumOutMasked {
-                src,
-                cards,
-                stride,
-                masks,
-                card_v,
-                sv,
-                v_mask,
-                off,
-                len,
-            } => {
-                let (lo, hi) = arena.f64s.split_at_mut(*off);
-                let lo: &[f64] = lo;
-                let out = &mut hi[..*len];
-                let data = self.resolve(src, lo);
-                sum_out_masked_into(
-                    data,
-                    cards,
-                    stride,
-                    masks,
-                    &arena.codes,
-                    *card_v,
-                    *sv,
-                    *v_mask,
-                    &mut arena.scratch,
-                    out,
-                );
-            }
-        }
-    }
-
-    fn resolve<'a>(&'a self, src: &Src, lo: &'a [f64]) -> &'a [f64] {
-        match *src {
-            Src::Base(i) => self.factors[i].data(),
-            Src::Work { off, len } => &lo[off..off + len],
-            Src::Const { off, len } => &self.consts[off..off + len],
-        }
-    }
-
-    fn scalar_of(&self, src: &Src, arena: &Arena) -> f64 {
-        match *src {
-            Src::Base(i) => self.factors[i].data()[0],
-            Src::Work { off, .. } => arena.f64s[off],
-            Src::Const { off, .. } => self.consts[off],
-        }
     }
 
     /// Number of nodes in the unrolled network this plan replays.
@@ -1590,31 +1334,40 @@ impl QueryPlan {
     }
 }
 
-/// Executes one constant-foldable op at compile time against the plan's
-/// `consts` buffer — the same kernels, strides, and operand bytes the
-/// replay would use, so the folded output is bit-identical to what every
-/// estimate would have recomputed. Operands are `Base` factors or
-/// earlier folded regions (always below the output offset).
-fn run_const_op(
-    factors: &[Factor],
+/// Executes one op, writing its output region of `buf`. The replay runs
+/// it against the arena with `consts` = the plan's folded constants;
+/// folding runs it at compile time against the constants buffer itself
+/// (`consts` = `None`: `Const` operands live below the output in `buf`),
+/// so a folded output is exactly the bytes every estimate would have
+/// recomputed. Output offsets strictly exceed every operand offset
+/// (bump-assigned at compile time), so `split_at_mut` hands out disjoint
+/// slices.
+fn run_op(
     op: &OpKind,
-    consts: &mut [f64],
+    factors: &[Factor],
+    consts: Option<&[f64]>,
+    buf: &mut [f64],
+    codes: &[usize],
     scratch: &mut [usize],
 ) {
-    fn res<'a>(factors: &'a [Factor], src: &Src, lo: &'a [f64]) -> &'a [f64] {
-        match *src {
-            Src::Base(i) => factors[i].data(),
-            Src::Const { off, len } | Src::Work { off, len } => &lo[off..off + len],
-        }
-    }
+    let (off, len) = op.out();
+    let (lo, hi) = buf.split_at_mut(off);
+    let lo: &[f64] = lo;
+    let out = &mut hi[..len];
+    let data = |src: &Src| operand(src, factors, consts.unwrap_or(lo), lo);
     match op {
-        OpKind::Product { a, b, cards, stride_a, stride_b, off, len } => {
-            let (lo, hi) = consts.split_at_mut(*off);
-            let lo: &[f64] = lo;
-            let out = &mut hi[..*len];
-            let av = res(factors, a, lo);
-            let bv = res(factors, b, lo);
-            product_into(av, bv, cards, stride_a, stride_b, scratch, out);
+        OpKind::Product { a, b, cards, stride_a, stride_b, masks, .. } => {
+            product_into(
+                data(a),
+                data(b),
+                cards,
+                stride_a,
+                stride_b,
+                masks,
+                codes,
+                scratch,
+                out,
+            );
         }
         OpKind::ProductSumOut {
             a,
@@ -1622,33 +1375,58 @@ fn run_const_op(
             cards,
             stride_a,
             stride_b,
+            masks,
             card_v,
             sav,
             sbv,
-            off,
-            len,
+            v_mask,
+            ..
         } => {
-            let (lo, hi) = consts.split_at_mut(*off);
-            let lo: &[f64] = lo;
-            let out = &mut hi[..*len];
-            let av = res(factors, a, lo);
-            let bv = res(factors, b, lo);
             product_sum_out_into(
-                av, bv, cards, stride_a, stride_b, *card_v, *sav, *sbv, scratch, out,
+                data(a),
+                data(b),
+                cards,
+                stride_a,
+                stride_b,
+                masks,
+                codes,
+                *card_v,
+                *sav,
+                *sbv,
+                *v_mask,
+                scratch,
+                out,
             );
         }
-        OpKind::SumOut { src, outer, card, inner, off, len } => {
-            let (lo, hi) = consts.split_at_mut(*off);
-            let lo: &[f64] = lo;
-            let out = &mut hi[..*len];
-            let sv = res(factors, src, lo);
-            sum_out_into(sv, *outer, *card, *inner, out);
+        OpKind::SumOut { src, cards, stride, masks, card_v, sv, v_mask, .. } => {
+            sum_out_into(
+                data(src),
+                cards,
+                stride,
+                masks,
+                codes,
+                *card_v,
+                *sv,
+                *v_mask,
+                scratch,
+                out,
+            );
         }
-        OpKind::ProductMasked { .. }
-        | OpKind::ProductSumOutMasked { .. }
-        | OpKind::SumOutMasked { .. } => {
-            unreachable!("masked ops are evidence-dependent and never folded")
-        }
+    }
+}
+
+/// The data of a replay operand: a base factor, a `Work` region of the
+/// replay buffer, or a folded `Const` region.
+fn operand<'a>(
+    src: &Src,
+    factors: &'a [Factor],
+    consts: &'a [f64],
+    work: &'a [f64],
+) -> &'a [f64] {
+    match *src {
+        Src::Base(i) => factors[i].data(),
+        Src::Work { off, len } => &work[off..off + len],
+        Src::Const { off, len } => &consts[off..off + len],
     }
 }
 

@@ -4,82 +4,15 @@
 //!
 //! The registry is shared across the whole process, so every assertion is
 //! a *delta* against a snapshot taken before the workload — absolute
-//! values would couple this test to execution order.
+//! values would couple this test to execution order. The exact
+//! `prm.estimate.*` call counts live in `obs_estimate_metrics.rs`, a
+//! process of their own, because every sibling here runs estimates.
+
+mod support;
 
 use prmsel::{PrmEstimator, PrmLearnConfig, SelectivityEstimator};
-use reldb::{Cell, Database, DatabaseBuilder, Query, TableBuilder, Value};
-
-fn tiny_db() -> Database {
-    let mut p = TableBuilder::new("parent").key("id").col("x");
-    for (id, x) in [(0, 0i64), (1, 1), (2, 0), (3, 1)] {
-        p.push_row(vec![Cell::Key(id), Cell::Val(Value::Int(x))]).unwrap();
-    }
-    let mut c = TableBuilder::new("child").key("id").fk("parent", "parent").col("y");
-    for (id, pa, y) in [
-        (0, 0, 0i64),
-        (1, 0, 1),
-        (2, 1, 0),
-        (3, 2, 1),
-        (4, 3, 0),
-        (5, 3, 1),
-        (6, 1, 0),
-        (7, 2, 1),
-    ] {
-        c.push_row(vec![Cell::Key(id), Cell::Key(pa), Cell::Val(Value::Int(y))]).unwrap();
-    }
-    DatabaseBuilder::new()
-        .add_table(p.finish().unwrap())
-        .add_table(c.finish().unwrap())
-        .finish()
-        .unwrap()
-}
-
-#[test]
-fn build_and_estimate_increment_the_expected_metrics() {
-    let reg = obs::registry();
-    let calls_before = reg.counter("prm.estimate.calls").get();
-    let ns_before = reg.histogram("prm.estimate.ns").count();
-    let qebn_before = reg.histogram("prm.qebn.nodes").count();
-
-    let db = tiny_db();
-    let est = PrmEstimator::build(&db, &PrmLearnConfig::default()).expect("build");
-
-    // The built model reports its size.
-    assert!(reg.gauge("prm.model.bytes").get() > 0.0, "model bytes gauge unset");
-    // The build phase ran under a span that records its latency.
-    assert!(
-        reg.histogram("span.prm.build.ns").count() > 0,
-        "prm.build span not recorded"
-    );
-
-    // Run a few estimates: single-table and join queries.
-    let mut b = Query::builder();
-    let c = b.var("child");
-    b.eq(c, "y", 0);
-    est.estimate(&b.build()).expect("estimate");
-
-    let mut b = Query::builder();
-    let c = b.var("child");
-    let p = b.var("parent");
-    b.join(c, "parent", p).eq(p, "x", 1);
-    est.estimate(&b.build()).expect("estimate");
-
-    let calls = reg.counter("prm.estimate.calls").get() - calls_before;
-    assert_eq!(calls, 2, "each estimate() call must count once");
-    assert_eq!(
-        reg.histogram("prm.estimate.ns").count() - ns_before,
-        2,
-        "each estimate() call must record a latency sample"
-    );
-    let qebn = reg.histogram("prm.qebn.nodes").count() - qebn_before;
-    assert_eq!(qebn, 2, "each estimate() call must record the QEBN node count");
-    // The join query unrolls at least child.y, parent.x and one join
-    // indicator, so the QEBN histogram must have seen a value ≥ 3.
-    assert!(
-        reg.histogram("prm.qebn.nodes").snapshot().max >= 3,
-        "join QEBN should have at least 3 nodes"
-    );
-}
+use reldb::{Cell, DatabaseBuilder, Query, TableBuilder, Value};
+use support::tiny_db;
 
 #[test]
 fn suite_evaluation_drives_executor_and_quality_metrics() {

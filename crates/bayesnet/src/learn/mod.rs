@@ -1,13 +1,11 @@
-//! Learning Bayesian networks from data (paper §4).
+//! Per-family learning primitives (paper §4).
 //!
-//! * [`dataset`] — the in-memory code matrix the learner scans.
 //! * [`score`] — the log-likelihood score in its mutual-information form
 //!   (paper Eq. 3/5) plus the MDL penalty.
 //! * [`treecpd`] — greedy induction of tree CPDs.
-//! * [`search`] — greedy hill-climbing structure search with the naive,
-//!   SSN, and MDL step-selection rules and random restarts (paper §4.3.3).
+//!
+//! The structure search that combines them — one budgeted hill-climb
+//! over every table of a database — lives in `prmsel::learn`.
 
-pub mod dataset;
 pub mod score;
-pub mod search;
 pub mod treecpd;

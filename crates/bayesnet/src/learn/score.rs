@@ -60,37 +60,6 @@ pub fn mdl_penalty_per_param(n_rows: usize) -> f64 {
     0.5 * (n_rows.max(2) as f64).ln()
 }
 
-/// The MDL objective used by the MDL step rule: log-likelihood minus the
-/// description length of the model (paper §4.3.3), with model length
-/// measured in bytes and converted at 4 bytes/parameter.
-pub fn mdl_score(loglik: f64, model_bytes: usize, n_rows: usize) -> f64 {
-    loglik - mdl_penalty_per_param(n_rows) * (model_bytes as f64 / 4.0)
-}
-
-/// Shannon entropy (nats) of a probability vector. Zero entries
-/// contribute zero.
-pub fn entropy(p: &[f64]) -> f64 {
-    -p.iter().filter(|&&x| x > 0.0).map(|&x| x * x.ln()).sum::<f64>()
-}
-
-/// Kullback–Leibler divergence `D(p ‖ q)` in nats. Infinite when `p` puts
-/// mass where `q` has none — the diagnostic one checks before trusting a
-/// model's zero cells.
-pub fn kl_divergence(p: &[f64], q: &[f64]) -> f64 {
-    assert_eq!(p.len(), q.len());
-    let mut d = 0.0;
-    for (&a, &b) in p.iter().zip(q) {
-        if a > 0.0 {
-            if b > 0.0 {
-                d += a * (a / b).ln();
-            } else {
-                return f64::INFINITY;
-            }
-        }
-    }
-    d
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,32 +96,6 @@ mod tests {
     fn mi_is_nonnegative() {
         let counts = CountTable { cards: vec![3, 2], counts: vec![5, 2, 7, 7, 2, 5] };
         assert!(mi_times_n(&counts) >= -1e-9);
-    }
-
-    #[test]
-    fn mdl_score_penalizes_size() {
-        let n = 1000;
-        let s_small = mdl_score(-500.0, 40, n);
-        let s_big = mdl_score(-500.0, 400, n);
-        assert!(s_small > s_big);
-    }
-
-    #[test]
-    fn entropy_of_uniform_is_log_n() {
-        let p = vec![0.25; 4];
-        assert!((entropy(&p) - 4f64.ln()).abs() < 1e-12);
-        assert_eq!(entropy(&[1.0, 0.0]), 0.0);
-    }
-
-    #[test]
-    fn kl_properties() {
-        let p = [0.7, 0.3];
-        let q = [0.5, 0.5];
-        assert_eq!(kl_divergence(&p, &p), 0.0);
-        assert!(kl_divergence(&p, &q) > 0.0);
-        assert_eq!(kl_divergence(&p, &[1.0, 0.0]), f64::INFINITY);
-        // Gibbs' inequality on a random-ish pair.
-        assert!(kl_divergence(&q, &p) > 0.0);
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! The Bayesian-network container.
 
-use std::sync::{Arc, OnceLock};
-
 use crate::cpd::Cpd;
 use crate::factor::Factor;
 use crate::graph::Dag;
@@ -129,81 +127,6 @@ impl BayesNet {
     pub fn topological_order(&self) -> Vec<usize> {
         self.dag.topological_order()
     }
-
-    /// Log-likelihood of a dataset under this network's *current*
-    /// parameters: `Σ_rows Σ_vars ln P(x_v | pa_v)`. Probabilities are
-    /// floored at `1e-300` so unseen configurations yield a large finite
-    /// penalty rather than `-∞`.
-    ///
-    /// Panics if the network is incomplete or the dataset's cardinalities
-    /// disagree with the network's.
-    pub fn log_likelihood(&self, data: &crate::learn::dataset::Dataset) -> f64 {
-        assert_eq!(data.n_vars(), self.len(), "variable count mismatch");
-        for v in 0..self.len() {
-            assert_eq!(data.card(v), self.card(v), "cardinality mismatch at {v}");
-        }
-        let mut ll = 0.0;
-        let mut parents_buf: Vec<u32> = Vec::new();
-        for v in 0..self.len() {
-            let cpd = self.cpds[v].as_ref().expect("network is incomplete");
-            let child = data.col(v);
-            let parent_cols: Vec<&[u32]> =
-                self.parents(v).iter().map(|&p| data.col(p)).collect();
-            for (row, &c) in child.iter().enumerate() {
-                parents_buf.clear();
-                parents_buf.extend(parent_cols.iter().map(|col| col[row]));
-                let p = cpd.dist(&parents_buf)[c as usize].max(1e-300);
-                ll += p.ln();
-            }
-        }
-        ll
-    }
-}
-
-/// Lazily materialized CPD factors of one network, one slot per variable.
-///
-/// [`BayesNet::factors`] re-walks every CPD (tree CPDs pay a
-/// per-parent-configuration tree walk) each call; anything that builds
-/// inference structures repeatedly over the same network — junction trees
-/// per evidence set, posterior batches — should share one cache instead.
-/// Slots fill on first use behind `OnceLock`, so concurrent builders share
-/// the result; materializations are counted as `bn.factor.materialize`.
-///
-/// The cache is keyed by variable index only: it must always be used with
-/// the network it was created for (same CPDs), which the caller owns.
-#[derive(Debug, Default)]
-pub struct CpdFactorCache {
-    slots: Vec<OnceLock<Arc<Factor>>>,
-}
-
-impl CpdFactorCache {
-    /// An empty cache for a network of `n` variables.
-    pub fn new(n: usize) -> Self {
-        CpdFactorCache { slots: (0..n).map(|_| OnceLock::new()).collect() }
-    }
-
-    /// An empty cache shaped like `bn`.
-    pub fn for_net(bn: &BayesNet) -> Self {
-        CpdFactorCache::new(bn.len())
-    }
-
-    /// The factor `P(v | Pa_v)` of `bn`, materialized on first use and
-    /// shared afterwards. `bn` must be the network this cache was shaped
-    /// from. Panics if the family is unset or `v` is out of range.
-    pub fn factor(&self, bn: &BayesNet, v: usize) -> Arc<Factor> {
-        self.slots[v]
-            .get_or_init(|| {
-                obs::counter!("bn.factor.materialize").inc();
-                let cpd = bn.cpds[v].as_ref().expect("network is incomplete");
-                Arc::new(cpd.to_factor(v, bn.dag.parents(v)))
-            })
-            .clone()
-    }
-
-    /// How many CPD factors have been materialized so far.
-    pub fn materialized(&self) -> usize {
-        self.slots.iter().filter(|slot| slot.get().is_some()).count()
-    }
 }
 
 #[cfg(test)]
@@ -265,25 +188,6 @@ mod tests {
         assert_eq!(bn.parents(0), &[] as &[usize]);
         // And the old edges are still intact.
         assert_eq!(bn.parents(1), &[0]);
-    }
-
-    #[test]
-    fn log_likelihood_matches_learner_totals() {
-        use crate::learn::dataset::Dataset;
-        use crate::learn::search::{GreedyLearner, LearnConfig};
-        let n = 500;
-        let a: Vec<u32> = (0..n).map(|i| (i % 2) as u32).collect();
-        let b: Vec<u32> = a.iter().map(|&v| v ^ 1).collect();
-        let data = Dataset::new(vec!["a".into(), "b".into()], vec![2, 2], vec![a, b]);
-        let outcome =
-            GreedyLearner::new(LearnConfig { restarts: 0, ..Default::default() })
-                .learn(&data);
-        let direct = outcome.network.log_likelihood(&data);
-        assert!(
-            (direct - outcome.loglik).abs() < 1e-6,
-            "direct {direct} vs learner {}",
-            outcome.loglik
-        );
     }
 
     #[test]

@@ -88,56 +88,5 @@ fn bench_join_estimation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_single_table_estimation,
-    bench_join_estimation,
-    engines::bench_inference_engines
-);
+criterion_group!(benches, bench_single_table_estimation, bench_join_estimation);
 criterion_main!(benches);
-
-// Appended: inference-engine comparison (variable elimination vs junction
-// tree) — the trade the paper's §2.3 references. One-off P(E) favours VE;
-// all-marginals-under-one-evidence favours the calibrated tree.
-mod engines {
-    use bayesnet::{infer::posterior, probability_of_evidence, Evidence, JoinTree};
-    use criterion::Criterion;
-    use workloads::census::census_bn;
-
-    pub fn bench_inference_engines(c: &mut Criterion) {
-        let bn = census_bn();
-        let mut ev = Evidence::new();
-        // income = 20, education = 10.
-        ev.eq(10, 20, bn.card(10)).eq(2, 10, bn.card(2));
-        let mut group = c.benchmark_group("inference");
-        group.bench_function("ve_p_evidence", |b| {
-            b.iter(|| probability_of_evidence(&bn, &ev))
-        });
-        let jt = JoinTree::build(&bn);
-        group.bench_function("jointree_p_evidence", |b| {
-            b.iter(|| jt.probability_of_evidence(&ev))
-        });
-        group.bench_function("jointree_build", |b| b.iter(|| JoinTree::build(&bn)));
-        // All 13 posteriors under the same evidence.
-        group.bench_function("ve_all_posteriors", |b| {
-            b.iter(|| {
-                let mut acc = 0.0;
-                for v in 0..bn.len() {
-                    acc += posterior(&bn, &ev, v).total();
-                }
-                acc
-            })
-        });
-        group.bench_function("jointree_all_posteriors", |b| {
-            b.iter(|| {
-                let cal = jt.calibrate(&ev);
-                let mut acc = 0.0;
-                for v in 0..bn.len() {
-                    acc += cal.marginal(v).total();
-                }
-                acc
-            })
-        });
-        group.finish();
-    }
-}

@@ -1,6 +1,8 @@
 //! Command implementations and argument dispatch.
 
 use std::fmt;
+use std::fs::File;
+use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
 use prmsel::{
@@ -225,6 +227,43 @@ pub fn load_csv_dir(dir: &Path) -> CliResult<Database> {
     Ok(builder.finish()?)
 }
 
+/// Replaces `path` with the bytes `write` produces, crash-safely. The
+/// bytes go to a temporary file in the same directory, which is flushed
+/// and synced, then renamed over `path`; the directory is synced last. A
+/// crash therefore leaves either the old file or the complete new one —
+/// never a torn mix, even when `path` is also the input being replaced.
+/// On error the temporary file is removed and `path` is left untouched.
+fn save_atomically(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> prmsel::Result<()>,
+) -> CliResult<()> {
+    let fail = |what: &str, e: std::io::Error| {
+        CliError(format!("cannot {what} {}: {e}", path.display()))
+    };
+    let name = path.file_name().ok_or_else(|| {
+        CliError(format!("cannot create {}: not a file path", path.display()))
+    })?;
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    let tmp = dir.join(format!(".{}.{}.tmp", name.to_string_lossy(), std::process::id()));
+    let written = (|| {
+        let mut out = BufWriter::new(File::create(&tmp).map_err(|e| fail("create", e))?);
+        write(&mut out)?;
+        let file = out.into_inner().map_err(|e| fail("write", e.into_error()))?;
+        file.sync_all().map_err(|e| fail("sync", e))?;
+        std::fs::rename(&tmp, path).map_err(|e| fail("replace", e))
+    })();
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written?;
+    File::open(dir)
+        .and_then(|d| d.sync_all())
+        .map_err(|e| fail("sync the directory of", e))
+}
+
 fn build(args: &[String]) -> CliResult<String> {
     let dir = PathBuf::from(required(args, "--csv-dir")?);
     let out = PathBuf::from(required(args, "--out")?);
@@ -241,9 +280,7 @@ fn build(args: &[String]) -> CliResult<String> {
     let config = PrmLearnConfig { budget_bytes: budget, cpd_kind, ..Default::default() };
     let prm = learn_prm(&db, &config)?;
     let schema = SchemaInfo::from_db(&db)?;
-    let file = std::fs::File::create(&out)
-        .map_err(|e| CliError(format!("cannot create {}: {e}", out.display())))?;
-    save_model(&prm, &schema, std::io::BufWriter::new(file))?;
+    save_atomically(&out, |w| save_model(&prm, &schema, w))?;
     Ok(format!(
         "built {} ({} bytes model, {} tables, {} rows scanned)\n{}",
         out.display(),
@@ -295,9 +332,7 @@ fn estimate(args: &[String]) -> CliResult<String> {
     }
     if let Some(path) = flag_value(&args, "--save-manifest") {
         let keys = ladder.inner().plan_keys();
-        let file = std::fs::File::create(path)
-            .map_err(|e| CliError(format!("cannot create {path}: {e}")))?;
-        save_manifest(&keys, std::io::BufWriter::new(file))?;
+        save_atomically(Path::new(path), |w| save_manifest(&keys, w))?;
         out.push_str(&format!(
             "\nwrote template manifest ({} template(s)) to {path}",
             keys.len()
@@ -773,9 +808,7 @@ fn maintain(args: &[String]) -> CliResult<String> {
     }
     if let Some(path) = flag_value(args, "--out") {
         let epoch = est.epoch();
-        let file = std::fs::File::create(path)
-            .map_err(|e| CliError(format!("cannot create {path}: {e}")))?;
-        save_model(&epoch.prm, &epoch.schema, std::io::BufWriter::new(file))?;
+        save_atomically(Path::new(path), |w| save_model(&epoch.prm, &epoch.schema, w))?;
         out.push_str(&format!("\nsaved refreshed model to {path}"));
     }
     Ok(out)
@@ -848,6 +881,50 @@ mod tests {
 
         let desc = run(&s(&["describe", "--model", model.to_str().unwrap()])).unwrap();
         assert!(desc.contains("table contact"), "{desc}");
+    }
+
+    #[test]
+    fn failed_save_keeps_the_old_file_and_leaves_no_temp() {
+        use std::io::Write;
+
+        /// Passes `budget` bytes through, then fails every write.
+        struct FailHalfway<W> {
+            inner: W,
+            budget: usize,
+        }
+        impl<W: Write> Write for FailHalfway<W> {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if self.budget == 0 {
+                    return Err(std::io::Error::other("disk full"));
+                }
+                let n = self.inner.write(&buf[..buf.len().min(self.budget)])?;
+                self.budget -= n;
+                Ok(n)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                self.inner.flush()
+            }
+        }
+
+        let dir = std::env::temp_dir().join("prmsel_cli_test_atomic_save");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("model.prm");
+        let db = tb_database_sized(60, 80, 500, 9);
+        let prm = learn_prm(&db, &PrmLearnConfig::default()).unwrap();
+        let schema = SchemaInfo::from_db(&db).unwrap();
+        save_atomically(&path, |w| save_model(&prm, &schema, w)).unwrap();
+        let old = std::fs::read(&path).unwrap();
+
+        let err = save_atomically(&path, |w| {
+            save_model(&prm, &schema, FailHalfway { inner: w, budget: old.len() / 2 })
+        })
+        .unwrap_err();
+        assert!(err.0.contains("disk full"), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), old, "the old model was damaged");
+        let left: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(left, ["model.prm"], "a temporary file was left behind");
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! `(n_true, child marginal, parent marginal)` counts. An insert/delete
 //! batch updates them in O(batch · model), and a refit from the
 //! accumulators produces **bit-identical** parameters to a from-scratch
-//! [`refresh_parameters`] on the same data: both paths reduce to the
-//! same integer counts, and the same `count → f64` arithmetic runs on
-//! them (proptested in `tests/delta_equivalence.rs`).
+//! [`refresh_parameters`](crate::refresh_parameters) on the same data:
+//! both paths reduce to the same integer counts, and the same
+//! `count → f64` arithmetic runs on them (proptested in
+//! `tests/delta_equivalence.rs`).
 //!
 //! The model log-likelihood is tracked from the same counts, so drift
 //! (per-row score decay since the structure was adopted — the paper's

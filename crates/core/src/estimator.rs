@@ -183,22 +183,6 @@ fn expect_single_table(query: &Query, table: &str) -> Result<()> {
 // PRM (and BN / BN+UJ, which are PRMs with restricted structure).
 // ---------------------------------------------------------------------
 
-/// How `P(E)` is computed on the unrolled query-evaluation network.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum InferenceEngine {
-    /// Exact variable elimination (the default; unrolled networks are
-    /// small, so this is the right choice in practice).
-    Exact,
-    /// Likelihood-weighting Monte Carlo — the any-time fallback for
-    /// pathologically connected models.
-    LikelihoodWeighting {
-        /// Number of weighted samples per query.
-        samples: usize,
-        /// RNG seed (deterministic estimates per seed).
-        seed: u64,
-    },
-}
-
 /// One immutable serving generation of the PRM estimator: the model, the
 /// schema snapshot it answers against, and every cache derived from them
 /// (CPD factors, compiled plans, fold constants). Epochs are published
@@ -293,7 +277,6 @@ impl ModelEpoch {
 #[derive(Debug)]
 pub struct PrmEstimator {
     name: String,
-    engine: InferenceEngine,
     epochs: EpochCell<ModelEpoch>,
 }
 
@@ -301,11 +284,7 @@ impl PrmEstimator {
     fn from_epoch(name: String, epoch: ModelEpoch) -> Self {
         obs::gauge!("prm.model.bytes").set(epoch.prm.size_bytes() as f64);
         crate::maintain::note_model_refreshed(epoch.seq);
-        PrmEstimator {
-            name,
-            engine: InferenceEngine::Exact,
-            epochs: EpochCell::new(epoch),
-        }
+        PrmEstimator { name, epochs: EpochCell::new(epoch) }
     }
 
     /// Learns a PRM from the database and wraps it for estimation.
@@ -339,11 +318,6 @@ impl PrmEstimator {
         let epoch = ModelEpoch::new(prm, schema, 1);
         epoch.precompile_from_env();
         Self::from_epoch(name.into(), epoch)
-    }
-
-    /// Selects the inference engine used for `P(E)`.
-    pub fn set_engine(&mut self, engine: InferenceEngine) {
-        self.engine = engine;
     }
 
     /// The current serving epoch. The returned `Arc` pins model, schema,
@@ -517,36 +491,20 @@ impl SelectivityEstimator for PrmEstimator {
         } else {
             0
         };
-        let mut warm = false;
-        let est = match self.engine {
-            InferenceEngine::Exact => {
-                let plan = {
-                    let _plan_phase = obs::flight::phase("plan");
-                    let (plan, hit) = ep.plans.get_or_compile(query, || {
-                        QueryPlan::compile_with(
-                            &ep.prm,
-                            &ep.schema,
-                            &ep.factors,
-                            query,
-                            Some(&ep.folds),
-                        )
-                    })?;
-                    warm = hit;
-                    plan
-                };
-                obs::histogram!("prm.qebn.nodes").record(plan.n_nodes() as u64);
-                plan.estimate(&ep.schema, query)?
-            }
-            InferenceEngine::LikelihoodWeighting { samples, seed } => {
-                let qebn = {
-                    let _unroll_phase = obs::flight::phase("unroll");
-                    QueryEvalBn::build(&ep.prm, &ep.schema, query)?
-                };
-                obs::histogram!("prm.qebn.nodes").record(qebn.bn.len() as u64);
-                let _sample_phase = obs::flight::phase("sample");
-                qebn.estimated_size_approx(&ep.prm, samples, seed)
-            }
+        let (plan, warm) = {
+            let _plan_phase = obs::flight::phase("plan");
+            ep.plans.get_or_compile(query, || {
+                QueryPlan::compile_with(
+                    &ep.prm,
+                    &ep.schema,
+                    &ep.factors,
+                    query,
+                    Some(&ep.folds),
+                )
+            })?
         };
+        obs::histogram!("prm.qebn.nodes").record(plan.n_nodes() as u64);
+        let est = plan.estimate(&ep.schema, query)?;
         obs::flight::finish(est);
         obs::counter!("prm.estimate.calls").inc();
         let elapsed = start.elapsed();

@@ -29,13 +29,25 @@ use bayesnet::cpd::TableCpd;
 use bayesnet::graph::Dag;
 use bayesnet::learn::score::{family_loglik, mdl_penalty_per_param};
 use bayesnet::learn::treecpd::{grow_tree, TreeGrowOptions};
-use bayesnet::{Cpd, CpdKind, StepRule};
+use bayesnet::{Cpd, CpdKind};
 use reldb::{CountTable, Database, Result};
 
 use crate::ctx::Ctx;
 use crate::prm::{
     AttrModel, JiParentRef, JoinIndicatorModel, ParentRef, Prm, TableModel,
 };
+
+/// Step-selection rule of the hill-climb (paper §4.3.3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepRule {
+    /// Largest ΔLL (ignores cost except for the hard budget).
+    Naive,
+    /// Storage-size-normalized: largest ΔLL / Δbytes (the knapsack
+    /// heuristic of the paper).
+    Ssn,
+    /// Minimum description length: largest Δ(LL − DL).
+    Mdl,
+}
 
 /// Configuration of PRM construction.
 #[derive(Debug, Clone)]
@@ -1229,5 +1241,83 @@ mod tests {
         assert!(err.is_err());
         // But BN+UJ (no foreign parents) still works.
         assert!(learn_prm(&db, &PrmLearnConfig::bn_uj(1024)).is_ok());
+    }
+
+    /// A one-table database over integer columns, one row per `row(i)`.
+    fn single_table_db(cols: &[&str], n: i64, row: impl Fn(i64) -> Vec<i64>) -> Database {
+        let mut t = TableBuilder::new("t").key("id");
+        for &c in cols {
+            t = t.col(c);
+        }
+        for i in 0..n {
+            let mut cells = vec![Cell::Key(i)];
+            cells.extend(row(i).into_iter().map(|v| Cell::Val(Value::Int(v))));
+            t.push_row(cells).unwrap();
+        }
+        DatabaseBuilder::new().add_table(t.finish().unwrap()).finish().unwrap()
+    }
+
+    /// `b` is a 10%-noisy copy of `a`; `c` is independent of both.
+    fn noisy_copy_db() -> Database {
+        single_table_db(&["a", "b", "c"], 2000, |i| {
+            let a = i % 2;
+            vec![a, if i % 10 == 0 { 1 - a } else { a }, (i / 7) % 3]
+        })
+    }
+
+    /// True if `x` and `y` of table `t` share an edge, in either direction.
+    fn linked(prm: &Prm, x: &str, y: &str) -> bool {
+        let t = prm.table_model("t").unwrap();
+        let idx = |name: &str| t.attrs.iter().position(|a| a.name == name).unwrap();
+        let (x, y) = (idx(x), idx(y));
+        t.attrs[x].parents.contains(&ParentRef::Local { attr: y })
+            || t.attrs[y].parents.contains(&ParentRef::Local { attr: x })
+    }
+
+    #[test]
+    fn mdl_prunes_the_spurious_edges() {
+        // Pure-LL rules happily spend budget on finite-sample noise; the
+        // MDL rule must keep the near-independent `c` disconnected.
+        let config = PrmLearnConfig {
+            cpd_kind: CpdKind::Table,
+            rule: StepRule::Mdl,
+            ..Default::default()
+        };
+        let prm = learn_prm(&noisy_copy_db(), &config).unwrap();
+        assert!(linked(&prm, "a", "b"), "a–b edge missing under MDL");
+        let c = &prm.table_model("t").unwrap().attrs[2];
+        assert_eq!(c.name, "c");
+        assert!(c.parents.is_empty(), "c should have no parents");
+        assert!(!linked(&prm, "a", "c") && !linked(&prm, "b", "c"));
+    }
+
+    #[test]
+    fn mdl_prunes_more_than_naive() {
+        let db = noisy_copy_db();
+        let learn = |rule| {
+            let config =
+                PrmLearnConfig { cpd_kind: CpdKind::Table, rule, ..Default::default() };
+            learn_prm(&db, &config).unwrap().size_bytes()
+        };
+        assert!(learn(StepRule::Mdl) <= learn(StepRule::Naive));
+    }
+
+    #[test]
+    fn small_budgets_get_partial_trees_not_nothing() {
+        // A strong dependence over a wide child: the full tree would not
+        // fit, but a truncated one must still be learned (budget-capped
+        // growth rather than all-or-nothing families).
+        let db = single_table_db(&["p", "c"], 4000, |i| vec![i % 16, i % 16 % 8]);
+        // Marginals alone: (16-1 + 8-1) * 4 + small = ~96 bytes. The full
+        // tree for c|p is 16 leaves * 7 params * 4 = 448 bytes.
+        let config = PrmLearnConfig {
+            cpd_kind: CpdKind::Tree,
+            budget_bytes: 220,
+            tree: TreeGrowOptions { min_gain_per_param: 0.01, ..Default::default() },
+            ..Default::default()
+        };
+        let prm = learn_prm(&db, &config).unwrap();
+        assert!(prm.size_bytes() <= 220, "size={}", prm.size_bytes());
+        assert!(linked(&prm, "p", "c"), "edge dropped instead of truncating the tree");
     }
 }

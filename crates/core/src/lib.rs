@@ -90,12 +90,12 @@ pub use delta::{DeltaRow, DeltaState, TableDelta, UpdateBatch};
 pub use error::{BudgetKind, Error, ErrorClass, Result};
 pub use estimator::{
     estimate_batch, estimate_batch_with_threshold, query_label, AviAdapter,
-    InferenceEngine, JoinSampleAdapter, MhistAdapter, ModelEpoch, PrmEstimator,
-    SampleAdapter, SelectivityEstimator, WaveletAdapter, DEFAULT_PAR_THRESHOLD_NS,
+    JoinSampleAdapter, MhistAdapter, ModelEpoch, PrmEstimator, SampleAdapter,
+    SelectivityEstimator, WaveletAdapter, DEFAULT_PAR_THRESHOLD_NS,
 };
 pub use groupby::GroupEstimate;
 pub use largedomain::{discretize_database, DiscretizedDatabase, DiscretizingEstimator};
-pub use learn::{learn_prm, PrmLearnConfig};
+pub use learn::{learn_prm, PrmLearnConfig, StepRule};
 pub use maintain::{
     drift_relearn_threshold, model_epoch, model_loglik, model_staleness_ms,
     refresh_parameters, MaintainOptions, Maintainer, RelearnFn, DEFAULT_DRIFT_RELEARN,
@@ -116,4 +116,4 @@ pub use swap::EpochCell;
 
 // Re-export the knobs callers tune.
 pub use bayesnet::learn::treecpd::TreeGrowOptions;
-pub use bayesnet::{CpdKind, StepRule};
+pub use bayesnet::CpdKind;

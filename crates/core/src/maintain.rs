@@ -93,8 +93,8 @@ const LOGLIK_CHUNK: usize = 8192;
 /// this keeps the score usable as the paper's relearning trigger.
 ///
 /// The per-row attribute scan fans out across the worker pool in fixed
-/// [`LOGLIK_CHUNK`]-row chunks; see there for why the answer does not
-/// depend on the thread count.
+/// `LOGLIK_CHUNK`-row chunks; see that constant for why the answer does
+/// not depend on the thread count.
 pub fn model_loglik(prm: &Prm, db: &Database) -> Result<f64> {
     let ctx = ctx_for(prm, db)?;
     let mut ll = 0.0;

@@ -31,67 +31,76 @@ use bayesnet::cpd::{Cpd, TableCpd, TreeCpd, TreeNode};
 use reldb::{Domain, Value};
 
 use crate::error::{Error, Result};
+use crate::plan::{Fnv, PlanKey};
 use crate::prm::{
     AttrModel, JiParentRef, JoinIndicatorModel, ParentRef, Prm, TableModel,
 };
 use crate::schema::{FkInfo, SchemaInfo, TableInfo};
 
-const MAGIC: &[u8; 8] = b"PRMSEL02";
+/// One framed file kind: its magic (which doubles as the format
+/// version) and the wording of its header errors.
+struct Envelope {
+    magic: &'static [u8; 8],
+    truncated_header: &'static str,
+    bad_magic: &'static str,
+}
+
+const MODEL: Envelope = Envelope {
+    magic: b"PRMSEL02",
+    truncated_header: "truncated header",
+    bad_magic: "not a prmsel model file (bad magic/version)",
+};
+
+const MANIFEST: Envelope = Envelope {
+    magic: b"PRMMAN01",
+    truncated_header: "truncated manifest header",
+    bad_magic: "not a prmsel manifest file (bad magic/version)",
+};
+
 /// Bytes before the payload: magic + payload length + checksum.
 const HEADER_LEN: u64 = 24;
 
-/// FNV-1a 64 over `bytes` — tiny, dependency-free, and plenty to catch
-/// truncation and bit flips (this is integrity checking, not crypto).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+/// FNV-1a 64 over the payload — tiny, dependency-free, and plenty to
+/// catch truncation and bit flips (this is integrity checking, not
+/// crypto).
+fn checksum(payload: &[u8]) -> u64 {
+    let mut h = Fnv::new();
+    h.write(payload);
+    h.finish()
 }
 
 fn corrupt_at(offset: u64, detail: impl Into<String>) -> Error {
     Error::Corrupt { offset: Some(offset), detail: detail.into() }
 }
 
-/// Serializes a model + schema snapshot.
-pub fn save_model(prm: &Prm, schema: &SchemaInfo, mut out: impl Write) -> Result<()> {
-    let mut payload = Vec::new();
-    {
-        let mut w = Writer { out: &mut payload };
-        w.body(prm, schema)?;
-    }
+/// Writes `payload` framed as magic, payload length, checksum, payload.
+fn write_envelope(kind: &Envelope, payload: &[u8], mut out: impl Write) -> Result<()> {
     let mut write = |bytes: &[u8]| {
         out.write_all(bytes).map_err(|e| Error::Internal(format!("write error: {e}")))
     };
-    write(MAGIC)?;
+    write(kind.magic)?;
     write(&(payload.len() as u64).to_le_bytes())?;
-    write(&fnv1a(&payload).to_le_bytes())?;
-    write(&payload)
+    write(&checksum(payload).to_le_bytes())?;
+    write(payload)
 }
 
-/// Deserializes a model + schema snapshot saved by [`save_model`].
-///
-/// Magic, declared payload length, and checksum are all verified before
-/// parsing; any mismatch — or any structural inconsistency found while
-/// parsing — returns [`Error::Corrupt`] with the byte offset of the
-/// damage.
-pub fn load_model(mut input: impl Read) -> Result<(Prm, SchemaInfo)> {
-    failpoint::fail_point!("persist.load").map_err(Error::from)?;
+/// Reads a [`write_envelope`] frame and returns its payload once magic,
+/// declared length, and checksum all verify; any mismatch is
+/// [`Error::Corrupt`] with the byte offset of the damage.
+fn read_envelope(kind: &Envelope, mut input: impl Read) -> Result<Vec<u8>> {
     let mut header = [0u8; HEADER_LEN as usize];
     let got = read_up_to(&mut input, &mut header)?;
     if got < header.len() {
-        return Err(corrupt_at(got as u64, "truncated header"));
+        return Err(corrupt_at(got as u64, kind.truncated_header));
     }
-    if &header[..8] != MAGIC {
-        return Err(corrupt_at(0, "not a prmsel model file (bad magic/version)"));
+    if &header[..8] != kind.magic {
+        return Err(corrupt_at(0, kind.bad_magic));
     }
     let payload_len = u64::from_le_bytes(header[8..16].try_into().expect("8-byte slice"));
     if payload_len > (1 << 40) {
         return Err(corrupt_at(8, format!("implausible payload length {payload_len}")));
     }
-    let checksum = u64::from_le_bytes(header[16..24].try_into().expect("8-byte slice"));
+    let sum = u64::from_le_bytes(header[16..24].try_into().expect("8-byte slice"));
     let mut payload = vec![0u8; payload_len as usize];
     let got = read_up_to(&mut input, &mut payload)?;
     if (got as u64) < payload_len {
@@ -100,12 +109,31 @@ pub fn load_model(mut input: impl Read) -> Result<(Prm, SchemaInfo)> {
             format!("truncated payload: declared {payload_len} bytes, found {got}"),
         ));
     }
-    if fnv1a(&payload) != checksum {
+    if checksum(&payload) != sum {
         return Err(corrupt_at(
             HEADER_LEN,
             "payload checksum mismatch (bit flip or partial write)",
         ));
     }
+    Ok(payload)
+}
+
+/// Serializes a model + schema snapshot.
+pub fn save_model(prm: &Prm, schema: &SchemaInfo, out: impl Write) -> Result<()> {
+    let mut payload = Vec::new();
+    Writer { out: &mut payload }.body(prm, schema)?;
+    write_envelope(&MODEL, &payload, out)
+}
+
+/// Deserializes a model + schema snapshot saved by [`save_model`].
+///
+/// Magic, declared payload length, and checksum are all verified before
+/// parsing; any mismatch — or any structural inconsistency found while
+/// parsing — returns [`Error::Corrupt`] with the byte offset of the
+/// damage.
+pub fn load_model(input: impl Read) -> Result<(Prm, SchemaInfo)> {
+    failpoint::fail_point!("persist.load").map_err(Error::from)?;
+    let payload = read_envelope(&MODEL, input)?;
     // The checksum screens out accidental damage; the bounds-checked
     // parse below handles truncation within a declared length. The
     // catch_unwind is the last line of defense for adversarially crafted
@@ -124,12 +152,10 @@ pub fn load_model(mut input: impl Read) -> Result<(Prm, SchemaInfo)> {
 // Template manifests (`PRMMAN01`).
 // ---------------------------------------------------------------------
 
-const MANIFEST_MAGIC: &[u8; 8] = b"PRMMAN01";
-
 /// Serializes a template manifest — the [`PlanKey`]s to precompile at
-/// model load — alongside a `PRMSEL02` model file. Same envelope as
-/// [`save_model`]: magic, payload length, FNV-1a checksum, payload.
-pub fn save_manifest(keys: &[crate::plan::PlanKey], mut out: impl Write) -> Result<()> {
+/// model load — alongside a `PRMSEL02` model file, in the same envelope
+/// as [`save_model`].
+pub fn save_manifest(keys: &[PlanKey], out: impl Write) -> Result<()> {
     let mut payload = Vec::new();
     {
         let mut w = Writer { out: &mut payload };
@@ -152,46 +178,14 @@ pub fn save_manifest(keys: &[crate::plan::PlanKey], mut out: impl Write) -> Resu
             }
         }
     }
-    let mut write = |bytes: &[u8]| {
-        out.write_all(bytes).map_err(|e| Error::Internal(format!("write error: {e}")))
-    };
-    write(MANIFEST_MAGIC)?;
-    write(&(payload.len() as u64).to_le_bytes())?;
-    write(&fnv1a(&payload).to_le_bytes())?;
-    write(&payload)
+    write_envelope(&MANIFEST, &payload, out)
 }
 
 /// Deserializes a template manifest saved by [`save_manifest`], with the
 /// same header/checksum/bounds discipline as [`load_model`]: a damaged
 /// manifest returns [`Error::Corrupt`], never a panic.
-pub fn load_manifest(mut input: impl Read) -> Result<Vec<crate::plan::PlanKey>> {
-    let mut header = [0u8; HEADER_LEN as usize];
-    let got = read_up_to(&mut input, &mut header)?;
-    if got < header.len() {
-        return Err(corrupt_at(got as u64, "truncated manifest header"));
-    }
-    if &header[..8] != MANIFEST_MAGIC {
-        return Err(corrupt_at(0, "not a prmsel manifest file (bad magic/version)"));
-    }
-    let payload_len = u64::from_le_bytes(header[8..16].try_into().expect("8-byte slice"));
-    if payload_len > (1 << 40) {
-        return Err(corrupt_at(8, format!("implausible payload length {payload_len}")));
-    }
-    let checksum = u64::from_le_bytes(header[16..24].try_into().expect("8-byte slice"));
-    let mut payload = vec![0u8; payload_len as usize];
-    let got = read_up_to(&mut input, &mut payload)?;
-    if (got as u64) < payload_len {
-        return Err(corrupt_at(
-            HEADER_LEN + got as u64,
-            format!("truncated payload: declared {payload_len} bytes, found {got}"),
-        ));
-    }
-    if fnv1a(&payload) != checksum {
-        return Err(corrupt_at(
-            HEADER_LEN,
-            "payload checksum mismatch (bit flip or partial write)",
-        ));
-    }
+pub fn load_manifest(input: impl Read) -> Result<Vec<PlanKey>> {
+    let payload = read_envelope(&MANIFEST, input)?;
     let mut r = Reader { buf: &payload, pos: 0 };
     let n = r.usize_()?;
     let mut keys = Vec::with_capacity(n.min(1024));
@@ -208,7 +202,7 @@ pub fn load_manifest(mut input: impl Read) -> Result<Vec<crate::plan::PlanKey>> 
         for _ in 0..np {
             preds.push((r.usize_()?, r.string()?));
         }
-        keys.push(crate::plan::PlanKey { vars, joins, preds });
+        keys.push(PlanKey { vars, joins, preds });
     }
     if r.pos != r.buf.len() {
         return Err(r.corrupt(format!(

@@ -274,16 +274,16 @@ impl PlanKey {
 }
 
 /// FNV-1a, 64-bit: tiny, allocation-free, and stable across platforms —
-/// exactly what an exported label needs (`std::hash` is explicitly not
-/// stable across releases or processes).
-struct Fnv(u64);
+/// exactly what an exported label and the `persist` file checksum need
+/// (`std::hash` is explicitly not stable across releases or processes).
+pub(crate) struct Fnv(u64);
 
 impl Fnv {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
-    fn write(&mut self, bytes: &[u8]) {
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
@@ -301,7 +301,7 @@ impl Fnv {
         self.write(s.as_bytes());
     }
 
-    fn finish(&self) -> u64 {
+    pub(crate) fn finish(&self) -> u64 {
         self.0
     }
 }

@@ -75,10 +75,6 @@ pub struct QueryEvalBn {
     /// Join-indicator node ids (evidence fixes them to `J = true`),
     /// ascending.
     pub ji_nodes: Vec<usize>,
-    /// Per-node CPD factor cache for the sampling path: likelihood
-    /// weighting materializes each CPD once per unrolled network instead
-    /// of once per sample.
-    cpd_cache: bayesnet::CpdFactorCache,
 }
 
 impl QueryEvalBn {
@@ -89,32 +85,7 @@ impl QueryEvalBn {
 
     /// The selectivity estimate `Π |T_v| · P(E)`.
     pub fn estimated_size(&self, prm: &Prm) -> f64 {
-        let p = probability_of_evidence(&self.bn, &self.evidence);
-        self.scale(prm, p)
-    }
-
-    /// Approximate variant: `P(E)` by likelihood weighting instead of
-    /// exact inference — the any-time fallback for unrolled networks whose
-    /// tree width makes exact inference expensive (paper §2.3 notes the
-    /// worst case is NP-hard).
-    pub fn estimated_size_approx(&self, prm: &Prm, samples: usize, seed: u64) -> f64 {
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        // The cached variant draws bit-identical samples (the factor view
-        // of a CPD row is the same `f64` slice) while materializing each
-        // CPD once per network instead of once per sample.
-        let p = bayesnet::likelihood_weighting_cached(
-            &self.bn,
-            &self.evidence,
-            samples,
-            &mut rng,
-            &self.cpd_cache,
-        );
-        self.scale(prm, p)
-    }
-
-    fn scale(&self, prm: &Prm, p: f64) -> f64 {
-        let mut size = p;
+        let mut size = probability_of_evidence(&self.bn, &self.evidence);
         for &t in &self.closure_tables {
             size *= prm.tables[t].n_rows as f64;
         }
@@ -308,7 +279,6 @@ impl<'a> Builder<'a> {
             .filter(|(_, key)| matches!(key, NodeKey::Ji(..)))
             .map(|(id, _)| id)
             .collect();
-        let cpd_cache = bayesnet::CpdFactorCache::new(bn.len());
         Ok(QueryEvalBn {
             bn,
             evidence,
@@ -316,7 +286,6 @@ impl<'a> Builder<'a> {
             node_sources,
             pred_nodes,
             ji_nodes,
-            cpd_cache,
         })
     }
 }

@@ -5,8 +5,9 @@
 //! The registry is shared across the whole process, so every assertion is
 //! a *delta* against a snapshot taken before the workload — absolute
 //! values would couple this test to execution order. The exact
-//! `prm.estimate.*` call counts live in `obs_estimate_metrics.rs`, a
-//! process of their own, because every sibling here runs estimates.
+//! `prm.estimate.*` call counts and the `prm.plan.reduce.*` memo deltas
+//! live in `obs_estimate_metrics.rs` and `obs_reduce_memo.rs`, processes
+//! of their own, because every sibling here runs estimates.
 
 mod support;
 
@@ -242,35 +243,6 @@ fn quality_recording_feeds_the_error_histograms() {
 }
 
 #[test]
-fn reduce_memo_counters_track_miss_then_hit() {
-    let reg = obs::registry();
-    let est = PrmEstimator::build(&tiny_db(), &PrmLearnConfig::default()).expect("build");
-    let mut b = Query::builder();
-    let c = b.var("child");
-    b.eq(c, "y", 0);
-    let q = b.build();
-
-    let miss_before = reg.counter("prm.plan.reduce.miss").get();
-    est.estimate(&q).expect("cold estimate");
-    assert!(
-        reg.counter("prm.plan.reduce.miss").get() > miss_before,
-        "first sight of a constant signature must count a reduce miss"
-    );
-    let hits_before = reg.counter("prm.plan.reduce.hit").get();
-    let miss_mid = reg.counter("prm.plan.reduce.miss").get();
-    est.estimate(&q).expect("warm estimate");
-    assert!(
-        reg.counter("prm.plan.reduce.hit").get() > hits_before,
-        "repeating the constants must count a reduce hit"
-    );
-    assert_eq!(
-        reg.counter("prm.plan.reduce.miss").get(),
-        miss_mid,
-        "a memo hit must not also count a miss"
-    );
-}
-
-#[test]
 fn pool_dispatch_latency_is_recorded() {
     let before = obs::registry().histogram("par.pool.dispatch.ns").count();
     // Force a parallel region wide enough to enqueue jobs on the
@@ -284,36 +256,4 @@ fn pool_dispatch_latency_is_recorded() {
             "pool jobs must record dispatch latency"
         );
     }
-}
-
-#[test]
-fn likelihood_weighting_materializes_each_cpd_once_per_estimate() {
-    use prmsel::InferenceEngine;
-    let reg = obs::registry();
-    let db = tiny_db();
-    let mut est = PrmEstimator::build(&db, &PrmLearnConfig::default()).expect("build");
-    est.set_engine(InferenceEngine::LikelihoodWeighting { samples: 500, seed: 42 });
-
-    let mut b = Query::builder();
-    let c = b.var("child");
-    let p = b.var("parent");
-    b.join(c, "parent", p).eq(p, "x", 1);
-    let q = b.build();
-
-    let before = reg.counter("bn.factor.materialize").get();
-    est.estimate(&q).expect("LW estimate");
-    let per_estimate = reg.counter("bn.factor.materialize").get() - before;
-    est.estimate(&q).expect("second LW estimate");
-    let second = reg.counter("bn.factor.materialize").get() - before - per_estimate;
-
-    // 500 samples over a ≥2-node unrolled network (parent.x plus the join
-    // indicator): without the CPD factor cache this would be ≥ 1000
-    // materializations per call. With it, each node materializes once per
-    // unrolled network.
-    assert!(per_estimate >= 2, "join QEBN has at least 2 nodes, got {per_estimate}");
-    assert!(
-        per_estimate <= 16,
-        "materializations must be per-node, not per-sample: {per_estimate}"
-    );
-    assert_eq!(second, per_estimate, "each estimate materializes the same node set");
 }

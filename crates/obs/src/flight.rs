@@ -782,18 +782,6 @@ mod tests {
     }
 
     #[test]
-    fn hooks_are_inert_when_off() {
-        assert!(!on());
-        assert!(!begin(|| panic!("label must not be built")));
-        let _p = phase("never");
-        pred_mask(0, 1, 2);
-        elim_step(0, 1, &[], 1, 0, 0);
-        plan_cache(true);
-        finish(1.0);
-        assert!(!active());
-    }
-
-    #[test]
     fn records_phases_steps_and_quality() {
         with_recording(|| {
             ring().clear();

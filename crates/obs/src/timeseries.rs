@@ -2,11 +2,12 @@
 //! snapshots plus the derivations that turn cumulative counters into
 //! *rates* and cumulative log₂ histograms into *windowed* quantiles.
 //!
-//! The registry (§ [`crate::registry`]) is cumulative-since-boot, which
-//! answers "how has this process done overall" but not "what is it doing
-//! *now*" — the question a long-lived estimator's operator (and the
-//! drift watchdog in [`crate::watchdog`]) actually asks. This module adds
-//! the time dimension without touching any hot path:
+//! The registry (§ [`crate::registry`](mod@crate::registry)) is
+//! cumulative-since-boot, which answers "how has this process done
+//! overall" but not "what is it doing *now*" — the question a long-lived
+//! estimator's operator (and the drift watchdog in [`crate::watchdog`])
+//! actually asks. This module adds the time dimension without touching
+//! any hot path:
 //!
 //! * a background **sampler** thread ([`Sampler`]) takes one full
 //!   registry snapshot every `PRMSEL_TS_INTERVAL_MS` (default 1000 ms)

@@ -267,17 +267,20 @@ where
     }
 
     let shared = pool();
-    let latch = Latch::new(t - 1);
+    // Shared, not borrowed: the last job still locks and notifies the
+    // latch after the count it decremented lets the caller return, so
+    // each job keeps its own handle alive.
+    let latch = Arc::new(Latch::new(t - 1));
     let mut results: Vec<Option<R>> = Vec::with_capacity(t);
     results.resize_with(t, || None);
     let out0;
     {
         let f = &f;
-        let latch_ref = &latch;
         let slots = SendPtr(results.as_mut_ptr());
         {
             let mut q = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
             for (i, range) in ranges.iter().cloned().enumerate().skip(1) {
+                let latch = Arc::clone(&latch);
                 let job = move || {
                     // Capture the `SendPtr` wrapper, not its raw field.
                     let slots = slots;
@@ -295,16 +298,17 @@ where
                         // wait-guard below keeps the vector alive until
                         // then.
                         Ok(v) => unsafe { *slots.0.add(i) = Some(v) },
-                        Err(payload) => latch_ref.record_panic(payload),
+                        Err(payload) => latch.record_panic(payload),
                     }
-                    latch_ref.arrive();
+                    latch.arrive();
                 };
                 let run: Box<dyn FnOnce() + Send + '_> = Box::new(job);
-                // SAFETY: extends the closure's borrows (of `f`, the
-                // latch, and the result slots) to 'static so it can sit
-                // in the process-wide queue. The wait-guard below does
-                // not return — even on panic — until every job has run,
-                // so no borrow outlives its referent.
+                // SAFETY: extends the closure's borrows (of `f` and the
+                // result slots) to 'static so it can sit in the
+                // process-wide queue. The wait-guard below does not
+                // return — even on panic — until every job has arrived,
+                // and a job touches neither borrow after arriving, so no
+                // borrow outlives its referent.
                 let run: Box<dyn FnOnce() + Send + 'static> =
                     unsafe { std::mem::transmute(run) };
                 q.push_back(Job { run, enqueued: Instant::now() });

@@ -247,7 +247,7 @@ pub mod collection {
     use rand::Rng;
     use std::ops::Range;
 
-    /// Element-count specification for [`vec`]: an exact length or a
+    /// Element-count specification for [`vec()`]: an exact length or a
     /// half-open range of lengths.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {

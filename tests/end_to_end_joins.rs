@@ -139,28 +139,6 @@ fn fin_chain_runs_end_to_end() {
 }
 
 #[test]
-fn likelihood_weighting_engine_tracks_exact_inference() {
-    use prmsel::InferenceEngine;
-    let db = tb_database_sized(200, 300, 2_000, 25);
-    let exact = PrmEstimator::build(&db, &config(3_000)).unwrap();
-    let mut approx = PrmEstimator::build(&db, &config(3_000)).unwrap();
-    approx.set_engine(InferenceEngine::LikelihoodWeighting { samples: 40_000, seed: 7 });
-    let mut b = reldb::Query::builder();
-    let c = b.var("contact");
-    let p = b.var("patient");
-    let s = b.var("strain");
-    b.join(c, "patient", p)
-        .join(p, "strain", s)
-        .eq(c, "contype", 2)
-        .eq(s, "unique", "no");
-    let q = b.build();
-    let e = exact.estimate(&q).unwrap();
-    let a = approx.estimate(&q).unwrap();
-    assert!(e > 0.0);
-    assert!((a - e).abs() / e < 0.15, "likelihood weighting {a} vs exact {e}");
-}
-
-#[test]
 fn join_range_queries_from_one_model() {
     // The most general query shape (range predicates over a full chain)
     // answered from one model — §2.3 + §3 composed.

@@ -16,7 +16,7 @@ use reldb::{Database, Domain, Pred, Query};
 
 use crate::error::{Error, Result};
 use crate::learn::{learn_prm, PrmLearnConfig};
-use crate::plan::{FactorCache, FoldCache, PlanCache, PlanKey, QueryPlan};
+use crate::plan::{FactorCache, PlanCache, PlanKey, QueryPlan};
 use crate::prm::Prm;
 use crate::qebn::QueryEvalBn;
 use crate::schema::SchemaInfo;
@@ -185,7 +185,7 @@ fn expect_single_table(query: &Query, table: &str) -> Result<()> {
 
 /// One immutable serving generation of the PRM estimator: the model, the
 /// schema snapshot it answers against, and every cache derived from them
-/// (CPD factors, compiled plans, fold constants). Epochs are published
+/// (CPD factors and compiled plans). Epochs are published
 /// atomically through an [`EpochCell`] — an in-flight estimate pins the
 /// epoch it started on and finishes there, so a concurrent
 /// [`PrmEstimator::replace_model`] can never mix old parameters with new
@@ -198,7 +198,6 @@ pub struct ModelEpoch {
     pub schema: SchemaInfo,
     pub(crate) factors: FactorCache,
     pub(crate) plans: PlanCache,
-    pub(crate) folds: FoldCache,
     seq: u64,
     created_ms: u64,
 }
@@ -210,7 +209,6 @@ impl ModelEpoch {
             prm,
             schema,
             plans: PlanCache::with_default_capacity(),
-            folds: FoldCache::new(),
             seq,
             created_ms: obs::timeseries::now_ms(),
         }
@@ -231,7 +229,7 @@ impl ModelEpoch {
     /// across the worker pool). Returns the number of plans inserted.
     pub fn precompile(&self, keys: &[PlanKey]) -> usize {
         let _span = obs::span("prm.plan.precompile");
-        self.plans.precompile(&self.prm, &self.schema, &self.factors, &self.folds, keys)
+        self.plans.precompile(&self.prm, &self.schema, &self.factors, keys)
     }
 
     /// Precompiles from the manifest named by `PRMSEL_PRECOMPILE`, if
@@ -494,13 +492,7 @@ impl SelectivityEstimator for PrmEstimator {
         let (plan, warm) = {
             let _plan_phase = obs::flight::phase("plan");
             ep.plans.get_or_compile(query, || {
-                QueryPlan::compile_with(
-                    &ep.prm,
-                    &ep.schema,
-                    &ep.factors,
-                    query,
-                    Some(&ep.folds),
-                )
+                QueryPlan::compile(&ep.prm, &ep.schema, &ep.factors, query)
             })?
         };
         obs::histogram!("prm.qebn.nodes").record(plan.n_nodes() as u64);

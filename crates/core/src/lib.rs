@@ -106,7 +106,7 @@ pub use metrics::{
 };
 pub use nonkey::JoinSide;
 pub use persist::{load_manifest, load_model, save_manifest, save_model};
-pub use plan::{FactorCache, FoldCache, PlanCache, PlanKey, QueryPlan};
+pub use plan::{FactorCache, PlanCache, PlanKey, QueryPlan};
 pub use planner::{best_plan, enumerate_plans, Plan};
 pub use prm::{JiParentRef, ParentRef, Prm};
 pub use qebn::{NodeSource, QueryEvalBn};

@@ -18,13 +18,14 @@
 //!   simulated symbolically at compile time, so every product /
 //!   fused-product-sum / sum-out step is stored with its strides,
 //!   cardinalities, and arena buffer offsets already resolved;
-//! * **constant folding** — replay ops whose operands never touch a
-//!   predicate mask compute the same bytes for every query of the
-//!   template, so compilation executes them once and stores their outputs
-//!   as plan constants; the per-query replay runs only the
-//!   evidence-dependent suffix of the elimination (for a typical
-//!   single-predicate query over a deep ancestor closure that is one or
-//!   two kernel calls out of a dozen);
+//! * **constant folding** — a replay op whose operands are base factors
+//!   or earlier folded outputs, and which sums out no predicated
+//!   variable, computes the same value at every cell a later op reads for
+//!   every query of the template (reducing by evidence commutes with
+//!   products and with sums over unpredicated variables), so compilation
+//!   executes it once, unmasked, and stores its output as a plan
+//!   constant; the per-query replay runs only the sums over predicated
+//!   variables and the ops downstream of them;
 //! * a per-plan **signature memo** — decoded predicate masks key a
 //!   bounded LRU of final `P(E)` scalars, so repeating the same constants
 //!   skips both the reduce pass and the replay entirely
@@ -59,11 +60,12 @@
 //! and the replay program calls the *same* `bayesnet::factor` kernels with
 //! the same strides the `Factor` methods would compute, preserving the
 //! floating-point operation order exactly. Constant folding only moves
-//! *when* an op runs (compile instead of every estimate) — the op
-//! sequence, operand bytes, and kernel order are unchanged, so folded
-//! outputs are the bytes the replay would have produced. A memoized
-//! scalar is the bit-exact product of a previous run of that same
-//! program over the same masks. The proptest suite in
+//! *when* an op runs (compile instead of every estimate): a folded op
+//! runs unmasked, so at every allowed cell it computes the bytes the
+//! masked replay would have, and no later op reads any other cell (each
+//! predicated axis stays masked downstream until a sum under its mask
+//! removes it). A memoized scalar is the bit-exact product of a previous
+//! run of that same program over the same masks. The proptest suite in
 //! `crates/core/tests/plan_proptests.rs` asserts the equality with
 //! `f64::to_bits`.
 
@@ -727,22 +729,30 @@ impl OpKind {
         }
     }
 
-    /// True when the op computes the same bytes for every query of the
-    /// template: every operand is evidence-independent and every mask is
-    /// [`DENSE`] (a mask region is re-encoded per query).
-    fn is_const(&self) -> bool {
+    /// True when the op computes the same value for every query of the
+    /// template at every cell its result masks allow: every operand is
+    /// evidence-independent and it sums out no predicated variable. Its
+    /// result masks may be anything — run with them all [`DENSE`], it
+    /// still writes those cells' bytes, because a product multiplies the
+    /// same operand bytes and a sum over an unpredicated variable adds all
+    /// its codes in ascending order, exactly as the masked kernel does.
+    fn is_evidence_invariant(&self) -> bool {
         let constant = |s: &Src| matches!(s, Src::Base(_) | Src::Const { .. });
-        let dense = |m: &usize| *m == DENSE;
         match self {
-            OpKind::Product { a, b, masks, .. } => {
-                constant(a) && constant(b) && masks.iter().all(dense)
+            OpKind::Product { a, b, .. } => constant(a) && constant(b),
+            OpKind::ProductSumOut { a, b, v_mask, .. } => {
+                constant(a) && constant(b) && *v_mask == DENSE
             }
-            OpKind::ProductSumOut { a, b, masks, v_mask, .. } => {
-                constant(a) && constant(b) && masks.iter().all(dense) && dense(v_mask)
-            }
-            OpKind::SumOut { src, masks, v_mask, .. } => {
-                constant(src) && masks.iter().all(dense) && dense(v_mask)
-            }
+            OpKind::SumOut { src, v_mask, .. } => constant(src) && *v_mask == DENSE,
+        }
+    }
+
+    /// The op's result-axis masks (compile-time rewriting only).
+    fn masks_mut(&mut self) -> &mut [usize] {
+        match self {
+            OpKind::Product { masks, .. }
+            | OpKind::ProductSumOut { masks, .. }
+            | OpKind::SumOut { masks, .. } => masks,
         }
     }
 }
@@ -789,9 +799,8 @@ pub struct QueryPlan {
     steps: Vec<Step>,
     /// Outputs of constant-folded ops, indexed by the arena offsets the
     /// replay would have used (`Src::Const` regions; the rest is unused
-    /// zero padding). `Arc`-shared so plans whose folded prefix computes
-    /// the same bytes (see [`FoldCache`]) hold one buffer.
-    consts: Arc<Vec<f64>>,
+    /// zero padding).
+    consts: Vec<f64>,
     /// Scalar factors left after the last step, in residual order; their
     /// product (left fold from 1.0, like `Iterator::product`) is `P(E)`.
     leftovers: Vec<Src>,
@@ -820,20 +829,6 @@ impl QueryPlan {
         schema: &SchemaInfo,
         cache: &FactorCache,
         query: &Query,
-    ) -> Result<QueryPlan> {
-        QueryPlan::compile_with(prm, schema, cache, query, None)
-    }
-
-    /// [`QueryPlan::compile`] with an optional [`FoldCache`]: when given,
-    /// the folded-constant buffer is interned content-keyed, so plans of
-    /// one model whose evidence-independent prefix computes the same
-    /// bytes share a single allocation.
-    pub fn compile_with(
-        prm: &Prm,
-        schema: &SchemaInfo,
-        cache: &FactorCache,
-        query: &Query,
-        folds: Option<&FoldCache>,
     ) -> Result<QueryPlan> {
         failpoint::fail_point!("plan.compile").map_err(crate::error::Error::from)?;
         let qebn = QueryEvalBn::build(prm, schema, query)?;
@@ -905,7 +900,9 @@ impl QueryPlan {
         // copy is ever materialized (DESIGN.md §6h). Unpinned axes are
         // `DENSE`. Summing a pinned variable out un-pins it — the op wrote
         // true (reduced-equivalent) data, so downstream ops see that axis
-        // as `DENSE` again.
+        // as `DENSE` again. Until then every op reading a pinned axis
+        // walks only its allowed codes, which is what lets constant
+        // folding below fill the disallowed cells with unreduced values.
         struct Sim {
             vars: Vec<usize>,
             cards: Vec<usize>,
@@ -1071,12 +1068,14 @@ impl QueryPlan {
             .collect();
 
         // Constant folding: ops whose operands are all evidence-
-        // independent (base factors or earlier folded outputs) produce
-        // the same bytes for every query of this template — execute them
-        // once now and replay their outputs as constants. Steps whose
-        // projected width exceeds the current budget are left dynamic so
-        // the width guard at estimate time keeps refusing them instead of
-        // compilation materializing what the budget exists to prevent.
+        // independent (base factors or earlier folded outputs) and which
+        // sum out no predicated variable produce the same bytes at every
+        // cell a later op reads, for every query of this template —
+        // execute them once now, unmasked, and replay their outputs as
+        // constants. Steps whose projected width exceeds the current
+        // budget are left dynamic so the width guard at estimate time
+        // keeps refusing them instead of compilation materializing what
+        // the budget exists to prevent.
         let fold_budget = crate::guard::estimate_budget().max_cells;
         let mut consts = vec![0.0f64; f64_off];
         let mut fold_scratch = vec![0usize; scratch_len];
@@ -1093,7 +1092,8 @@ impl QueryPlan {
                         }
                     }
                 }
-                if foldable && op.is_const() {
+                if foldable && op.is_evidence_invariant() {
+                    op.masks_mut().fill(DENSE);
                     run_op(&op, &factors, None, &mut consts, &[], &mut fold_scratch);
                     folded.insert(op.out().0);
                     obs::counter!("prm.plan.ops.folded").inc();
@@ -1116,10 +1116,6 @@ impl QueryPlan {
         let row_factors =
             qebn.closure_tables.iter().map(|&t| prm.tables[t].n_rows as f64).collect();
         let memo_capacity = if pred_touched { reduce_memo_capacity() } else { 0 };
-        let consts = match folds {
-            Some(fc) => fc.intern(consts),
-            None => Arc::new(consts),
-        };
         Ok(QueryPlan {
             factors,
             pred_slots,
@@ -1298,11 +1294,17 @@ impl QueryPlan {
         };
         drop(eliminate);
         // Memoize only after the replay succeeded, so budget refusals and
-        // failpoint injections are never cached as answers.
+        // failpoint injections are never cached as answers. Another thread
+        // may have missed on the same signature and inserted it while this
+        // one replayed (the lookup lock is released for the replay); its
+        // entry holds the same bits, so keep it rather than a duplicate.
         if memo_p.is_none() && !self.mask_slots.is_empty() && self.memo_capacity > 0 {
-            let entry =
-                Arc::new(MemoEntry { masks: arena.bools[..self.tmp_off].to_vec(), p });
-            self.memo.lock().insert(mask_hash, entry, &mut |_| {});
+            let masks = &arena.bools[..self.tmp_off];
+            let entry = Arc::new(MemoEntry { masks: masks.to_vec(), p });
+            let mut memo = self.memo.lock();
+            if memo.get(mask_hash, |e| e.masks.as_slice() == masks).is_none() {
+                memo.insert(mask_hash, entry, &mut |_| {});
+            }
         }
         let mut size = p;
         for &rows in &self.row_factors {
@@ -1336,12 +1338,12 @@ impl QueryPlan {
 
 /// Executes one op, writing its output region of `buf`. The replay runs
 /// it against the arena with `consts` = the plan's folded constants;
-/// folding runs it at compile time against the constants buffer itself
-/// (`consts` = `None`: `Const` operands live below the output in `buf`),
-/// so a folded output is exactly the bytes every estimate would have
-/// recomputed. Output offsets strictly exceed every operand offset
-/// (bump-assigned at compile time), so `split_at_mut` hands out disjoint
-/// slices.
+/// folding runs it at compile time, unmasked, against the constants
+/// buffer itself (`consts` = `None`: `Const` operands live below the
+/// output in `buf`), so a folded output holds, at every cell a later op
+/// reads, the bytes every estimate would have recomputed. Output offsets
+/// strictly exceed every operand offset (bump-assigned at compile time),
+/// so `split_at_mut` hands out disjoint slices.
 fn run_op(
     op: &OpKind,
     factors: &[Factor],
@@ -1478,70 +1480,6 @@ fn union_scope_parts(
         }
     }
     (vars, cards)
-}
-
-// ---------------------------------------------------------------------
-// The fold cache.
-// ---------------------------------------------------------------------
-
-/// Content-keyed cache of folded-constant buffers, shared between the
-/// plans of one model. Templates that fold the same evidence-independent
-/// prefix (common when precompiling many templates over one closure)
-/// produce byte-identical `consts` buffers; interning them here makes
-/// every such plan share a single `Arc` allocation. Keys are FNV hashes
-/// of the buffer bits, verified byte-for-byte on a bucket match, so a
-/// hash collision can never splice the wrong constants into a plan.
-#[derive(Debug, Default)]
-pub struct FoldCache {
-    inner: Mutex<HashMap<u64, Vec<Arc<Vec<f64>>>>>,
-}
-
-impl FoldCache {
-    /// An empty fold cache.
-    pub fn new() -> Self {
-        FoldCache::default()
-    }
-
-    /// The shared buffer equal to `consts`, inserting it if new.
-    fn intern(&self, consts: Vec<f64>) -> Arc<Vec<f64>> {
-        let mut h = Fnv::new();
-        for &x in &consts {
-            h.write(&x.to_bits().to_le_bytes());
-        }
-        let hash = h.finish();
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        let bucket = inner.entry(hash).or_default();
-        if let Some(existing) = bucket.iter().find(|e| {
-            e.len() == consts.len()
-                && e.iter().zip(&consts).all(|(a, b)| a.to_bits() == b.to_bits())
-        }) {
-            return existing.clone();
-        }
-        let arc = Arc::new(consts);
-        bucket.push(arc.clone());
-        arc
-    }
-
-    /// Number of distinct interned buffers.
-    pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .values()
-            .map(Vec::len)
-            .sum()
-    }
-
-    /// True when nothing is interned.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every interned buffer (plans already holding one keep their
-    /// `Arc`; used on model replacement).
-    pub fn clear(&self) {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner).clear();
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -1718,7 +1656,6 @@ impl PlanCache {
         prm: &Prm,
         schema: &SchemaInfo,
         cache: &FactorCache,
-        folds: &FoldCache,
         keys: &[PlanKey],
     ) -> usize {
         if self.lock().capacity == 0 {
@@ -1731,7 +1668,7 @@ impl PlanCache {
         }
         let compiled = par::map(&todo, |key| {
             let query = key.to_template_query();
-            QueryPlan::compile_with(prm, schema, cache, &query, Some(folds)).ok()
+            QueryPlan::compile(prm, schema, cache, &query).ok()
         });
         let mut inserted = 0usize;
         let mut inner = self.lock();
@@ -1824,6 +1761,74 @@ mod tests {
         lru.insert(1, 10, &mut |_| {});
         assert_eq!(lru.len(), 0);
         assert!(lru.get(1, |_| true).is_none());
+    }
+
+    /// The folding rule on a learned census model, with range predicates
+    /// on two attributes: an op stays in the replay only when it sums out
+    /// a predicated variable or reads the output of an op that does.
+    #[test]
+    fn folding_keeps_only_predicated_sums_and_their_consumers_dynamic() {
+        let db = workloads::census::census_database(3_000, 5);
+        let est = crate::PrmEstimator::build(&db, &crate::PrmLearnConfig::default())
+            .expect("learn census");
+        let ep = est.epoch();
+        let ranges = |age: (i64, i64), income: (i64, i64)| {
+            let mut b = Query::builder();
+            let v = b.var("census");
+            b.range(v, "age", Some(age.0), Some(age.1));
+            b.range(v, "income", Some(income.0), Some(income.1));
+            b.build()
+        };
+        let plan =
+            QueryPlan::compile(&ep.prm, &ep.schema, &ep.factors, &ranges((0, 0), (0, 0)))
+                .expect("compile");
+        // A folded constant read along a masked axis was written by an op
+        // whose result axis carried that mask: each predicated axis stays
+        // masked downstream until a sum under its mask removes it.
+        let mut folded_masked_axes = 0;
+        for op in plan.steps.iter().flat_map(|s| &s.ops) {
+            let (reads, masks, v_mask) = match op {
+                OpKind::Product { a, b, stride_a, stride_b, masks, .. } => {
+                    (vec![(a, stride_a, 0), (b, stride_b, 0)], masks, DENSE)
+                }
+                OpKind::ProductSumOut {
+                    a,
+                    b,
+                    stride_a,
+                    stride_b,
+                    masks,
+                    sav,
+                    sbv,
+                    v_mask,
+                    ..
+                } => (vec![(a, stride_a, *sav), (b, stride_b, *sbv)], masks, *v_mask),
+                OpKind::SumOut { src, stride, masks, sv, v_mask, .. } => {
+                    (vec![(src, stride, *sv)], masks, *v_mask)
+                }
+            };
+            assert!(
+                v_mask != DENSE
+                    || reads.iter().any(|(s, ..)| matches!(s, Src::Work { .. })),
+                "an evidence-invariant op was left dynamic: {op:?}"
+            );
+            for (s, stride, sv) in reads {
+                let masked_axis =
+                    masks.iter().zip(stride).any(|(&m, &st)| m != DENSE && st != 0)
+                        || (v_mask != DENSE && sv != 0);
+                folded_masked_axes +=
+                    usize::from(matches!(s, Src::Const { .. }) && masked_axis);
+            }
+        }
+        assert!(folded_masked_axes > 0, "no op with a masked result axis was folded");
+        for q in
+            [ranges((2, 9), (5, 30)), ranges((17, 3), (0, 41)), ranges((0, 17), (40, 41))]
+        {
+            let uncached = QueryEvalBn::build(&ep.prm, &ep.schema, &q)
+                .expect("unroll")
+                .estimated_size(&ep.prm);
+            let replayed = plan.estimate(&ep.schema, &q).expect("estimate");
+            assert_eq!(replayed.to_bits(), uncached.to_bits(), "{q:?}");
+        }
     }
 
     #[test]

@@ -153,16 +153,23 @@ fn arb_prm() -> impl Strategy<Value = (Prm, SchemaInfo)> {
 /// A random query over the two-table schema: template (single-table vs
 /// explicit join) and a random subset of predicates with random
 /// constants, covering equality, membership, and range evidence masks.
+/// The `y0` predicate is an equality, a `[lo, hi]` range (empty when
+/// `lo > hi`), or a membership test with a gap (`{c, c + 2}`), optionally
+/// intersected with a second, open-ended range on `y0` — so the replay
+/// reads folded constants through single-code, multi-run, empty, and
+/// intersected masks.
 fn arb_query() -> impl Strategy<Value = Query> {
     (
-        any::<bool>(), // explicit join?
-        0usize..4,     // pred selector bitmask over {y0, y1, x1}
-        0i64..5,       // y0 constant (may fall outside the domain)
-        0i64..2,       // y1 constant
-        0i64..2,       // x1 constant
-        any::<bool>(), // y0 pred: range instead of eq
+        any::<bool>(),            // explicit join?
+        0usize..4,                // pred selector bitmask over {y0, y1}
+        0usize..3,                // y0 shape: eq, range, membership with a gap
+        0i64..5,                  // y0 constant or low end (may leave the domain)
+        0i64..5,                  // y0 range high end
+        (any::<bool>(), 0i64..5), // second y0 predicate `y0 >= lo2`?, lo2
+        0i64..2,                  // y1 constant
+        0i64..2,                  // x1 constant
     )
-        .prop_map(|(join, mask, v0, v1, vx, range)| {
+        .prop_map(|(join, mask, shape, v0, hi, (second, lo2), v1, vx)| {
             let mut b = Query::builder();
             let c = b.var("child");
             let p = if join {
@@ -173,10 +180,13 @@ fn arb_query() -> impl Strategy<Value = Query> {
                 None
             };
             if mask & 1 != 0 {
-                if range {
-                    b.range(c, "y0", Some(0), Some(v0));
-                } else {
-                    b.eq(c, "y0", v0);
+                match shape {
+                    0 => b.eq(c, "y0", v0),
+                    1 => b.range(c, "y0", Some(v0), Some(hi)),
+                    _ => b.isin(c, "y0", vec![Value::Int(v0), Value::Int(v0 + 2)]),
+                };
+                if second {
+                    b.range(c, "y0", Some(lo2), None);
                 }
             }
             if mask & 2 != 0 {

@@ -78,29 +78,30 @@ impl Cpd {
     /// `0..=parents.len()`: axis `i` is parent slot `i`, the last axis is
     /// the child. The data layout is exactly the concatenation of `dist`
     /// rows in parent-config row-major order, so materialization is one
-    /// sequential pass (one tree walk per parent configuration for tree
-    /// CPDs). This is the canonical shape the per-model factor cache
+    /// sequential pass (a tree CPD copies each configuration's leaf from
+    /// [`TreeCpd::row_leaves`] instead of walking the tree per
+    /// configuration). This is the canonical shape the per-model factor cache
     /// stores; [`Factor::relabeled`] instantiates it over the variable ids
     /// of a concrete query-evaluation network.
     pub fn to_local_factor(&self) -> Factor {
-        let pcards = self.parent_cards();
-        let ccard = self.child_card();
-        let rows: usize = pcards.iter().product::<usize>().max(1);
-        let mut data = Vec::with_capacity(rows * ccard);
-        let mut config = vec![0u32; pcards.len()];
-        for _ in 0..rows {
-            data.extend_from_slice(self.dist(&config));
-            for k in (0..pcards.len()).rev() {
-                config[k] += 1;
-                if (config[k] as usize) < pcards[k] {
-                    break;
+        let data = match self {
+            Cpd::Table(t) => t.probs().to_vec(),
+            Cpd::Tree(t) => {
+                let leaves = t.row_leaves();
+                let mut data = Vec::with_capacity(leaves.len() * t.child_card());
+                for &leaf in &leaves {
+                    match &t.nodes()[leaf] {
+                        TreeNode::Leaf(dist) => data.extend_from_slice(dist),
+                        _ => unreachable!("row_leaves names leaves"),
+                    }
                 }
-                config[k] = 0;
+                data
             }
-        }
+        };
+        let pcards = self.parent_cards();
         let vars: Vec<usize> = (0..=pcards.len()).collect();
         let mut cards = pcards.to_vec();
-        cards.push(ccard);
+        cards.push(self.child_card());
         Factor::new(vars, cards, data)
     }
 

@@ -69,6 +69,12 @@ impl TableCpd {
         &self.parent_cards
     }
 
+    /// Every parent configuration's distribution, concatenated in
+    /// row-major configuration order (the layout [`TableCpd::new`] takes).
+    pub fn probs(&self) -> &[f64] {
+        &self.probs
+    }
+
     /// The child distribution for a parent configuration.
     pub fn dist(&self, parent_config: &[u32]) -> &[f64] {
         debug_assert_eq!(parent_config.len(), self.parent_cards.len());

@@ -97,11 +97,19 @@ impl TreeCpd {
 
     /// The child distribution for a parent configuration: walk the tree.
     pub fn dist(&self, parent_config: &[u32]) -> &[f64] {
+        match &self.nodes[self.leaf_of(parent_config)] {
+            TreeNode::Leaf(d) => d,
+            _ => unreachable!("leaf_of returns a leaf"),
+        }
+    }
+
+    /// Arena index of the leaf a parent configuration reaches.
+    fn leaf_of(&self, parent_config: &[u32]) -> usize {
         debug_assert_eq!(parent_config.len(), self.parent_cards.len());
         let mut at = 0usize;
         loop {
             match &self.nodes[at] {
-                TreeNode::Leaf(d) => return d,
+                TreeNode::Leaf(_) => return at,
                 TreeNode::SplitPerValue { slot, branches } => {
                     at = branches[parent_config[*slot] as usize];
                 }
@@ -110,6 +118,46 @@ impl TreeCpd {
                 }
             }
         }
+    }
+
+    /// The arena index of the leaf every parent configuration reaches,
+    /// indexed like a count table's rows (row-major over the parent slots,
+    /// last slot fastest). Each node covers a box of configurations — an
+    /// inclusive code range per slot — so this fills each leaf's box
+    /// directly instead of walking the tree once per configuration.
+    pub fn row_leaves(&self) -> Vec<usize> {
+        let cards = &self.parent_cards;
+        let mut leaves = vec![0usize; cards.iter().product()];
+        let root_box: Vec<(u32, u32)> =
+            cards.iter().map(|&c| (0, c as u32 - 1)).collect();
+        let mut stack = vec![(0usize, root_box)];
+        while let Some((at, bounds)) = stack.pop() {
+            match &self.nodes[at] {
+                TreeNode::Leaf(_) => fill_box(&mut leaves, cards, &bounds, at),
+                TreeNode::SplitPerValue { slot, branches } => {
+                    let (from, to) = bounds[*slot];
+                    for code in from..=to {
+                        let mut sub = bounds.clone();
+                        sub[*slot] = (code, code);
+                        stack.push((branches[code as usize], sub));
+                    }
+                }
+                TreeNode::SplitThreshold { slot, cut, lo, hi } => {
+                    let (from, to) = bounds[*slot];
+                    if from <= *cut {
+                        let mut sub = bounds.clone();
+                        sub[*slot] = (from, to.min(*cut));
+                        stack.push((*lo, sub));
+                    }
+                    if to > *cut {
+                        let mut sub = bounds;
+                        sub[*slot] = (from.max(cut + 1), to);
+                        stack.push((*hi, sub));
+                    }
+                }
+            }
+        }
+        leaves
     }
 
     /// Free parameters: `(child_card − 1)` per leaf.
@@ -146,39 +194,9 @@ impl TreeCpd {
             for (slot, col) in config.iter_mut().zip(parent_cols) {
                 *slot = col[row];
             }
-            // Walk to the leaf for this row's parent configuration.
-            let mut at = 0usize;
-            loop {
-                match &self.nodes[at] {
-                    TreeNode::Leaf(_) => break,
-                    TreeNode::SplitPerValue { slot, branches } => {
-                        at = branches[config[*slot] as usize];
-                    }
-                    TreeNode::SplitThreshold { slot, cut, lo, hi } => {
-                        at = if config[*slot] <= *cut { *lo } else { *hi };
-                    }
-                }
-            }
-            counts[at][child as usize] += 1;
+            counts[self.leaf_of(&config)][child as usize] += 1;
         }
-        let nodes = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| match n {
-                TreeNode::Leaf(_) => {
-                    let total: u64 = counts[i].iter().sum();
-                    let dist = if total == 0 {
-                        vec![1.0 / self.child_card as f64; self.child_card]
-                    } else {
-                        counts[i].iter().map(|&c| c as f64 / total as f64).collect()
-                    };
-                    TreeNode::Leaf(dist)
-                }
-                other => other.clone(),
-            })
-            .collect();
-        TreeCpd::new(self.child_card, self.parent_cards.clone(), nodes)
+        self.with_leaf_counts(&counts)
     }
 
     /// [`refit`](Self::refit) from an already-aggregated joint count table
@@ -197,49 +215,33 @@ impl TreeCpd {
         assert_eq!(&counts.cards[..self.parent_cards.len()], &self.parent_cards[..]);
         let mut leaf_counts: Vec<Vec<u64>> =
             vec![vec![0u64; self.child_card]; self.nodes.len()];
-        let n_configs: usize = self.parent_cards.iter().product();
-        let mut config = vec![0u32; self.parent_cards.len()];
-        for parent_idx in 0..n_configs {
-            // Decode the parent configuration row-major (last slot
-            // fastest-varying), matching the count-table layout.
-            let mut rest = parent_idx;
-            for slot in (0..self.parent_cards.len()).rev() {
-                config[slot] = (rest % self.parent_cards[slot]) as u32;
-                rest /= self.parent_cards[slot];
-            }
-            let base = parent_idx * self.child_card;
-            let cell = &counts.counts[base..base + self.child_card];
-            if cell.iter().all(|&c| c == 0) {
-                continue;
-            }
-            // Walk the fixed split structure to this configuration's leaf.
-            let mut at = 0usize;
-            loop {
-                match &self.nodes[at] {
-                    TreeNode::Leaf(_) => break,
-                    TreeNode::SplitPerValue { slot, branches } => {
-                        at = branches[config[*slot] as usize];
-                    }
-                    TreeNode::SplitThreshold { slot, cut, lo, hi } => {
-                        at = if config[*slot] <= *cut { *lo } else { *hi };
-                    }
-                }
-            }
-            for (child, &c) in cell.iter().enumerate() {
-                leaf_counts[at][child] += c;
+        // The count table's rows are the parent configurations in
+        // `row_leaves` order.
+        for (cell, &at) in
+            counts.counts.chunks_exact(self.child_card).zip(&self.row_leaves())
+        {
+            for (sum, &c) in leaf_counts[at].iter_mut().zip(cell) {
+                *sum += c;
             }
         }
+        self.with_leaf_counts(&leaf_counts)
+    }
+
+    /// This tree's splits with each leaf's distribution the relative
+    /// frequencies of its child counts (`leaf_counts` by arena index);
+    /// a leaf with no counts falls back to uniform.
+    fn with_leaf_counts(&self, leaf_counts: &[Vec<u64>]) -> TreeCpd {
         let nodes = self
             .nodes
             .iter()
-            .enumerate()
-            .map(|(i, n)| match n {
+            .zip(leaf_counts)
+            .map(|(n, counts)| match n {
                 TreeNode::Leaf(_) => {
-                    let total: u64 = leaf_counts[i].iter().sum();
+                    let total: u64 = counts.iter().sum();
                     let dist = if total == 0 {
                         vec![1.0 / self.child_card as f64; self.child_card]
                     } else {
-                        leaf_counts[i].iter().map(|&c| c as f64 / total as f64).collect()
+                        counts.iter().map(|&c| c as f64 / total as f64).collect()
                     };
                     TreeNode::Leaf(dist)
                 }
@@ -247,6 +249,37 @@ impl TreeCpd {
             })
             .collect();
         TreeCpd::new(self.child_card, self.parent_cards.clone(), nodes)
+    }
+}
+
+/// Sets `leaves[row] = leaf` for every configuration `row` in the box
+/// `bounds` (an inclusive code range per slot of `cards`, row-major with
+/// the last slot fastest, so each run of last-slot codes is contiguous).
+fn fill_box(leaves: &mut [usize], cards: &[usize], bounds: &[(u32, u32)], leaf: usize) {
+    let Some((&(first, last), outer)) = bounds.split_last() else {
+        leaves[0] = leaf;
+        return;
+    };
+    let inner_card = cards[outer.len()];
+    let mut config: Vec<u32> = outer.iter().map(|&(from, _)| from).collect();
+    loop {
+        let base =
+            config.iter().zip(cards).fold(0, |row, (&c, &card)| row * card + c as usize);
+        let base = base * inner_card;
+        leaves[base + first as usize..=base + last as usize].fill(leaf);
+        // Step the outer slots through the box, last slot fastest.
+        let mut k = config.len();
+        loop {
+            if k == 0 {
+                return;
+            }
+            k -= 1;
+            if config[k] < outer[k].1 {
+                config[k] += 1;
+                break;
+            }
+            config[k] = outer[k].0;
+        }
     }
 }
 
@@ -277,6 +310,44 @@ mod tests {
         assert_eq!(t.dist(&[2, 1]), &[0.9, 0.1]);
         assert_eq!(t.dist(&[0, 0]), &[0.5, 0.5]);
         assert_eq!(t.dist(&[1, 1]), &[0.2, 0.8]);
+    }
+
+    #[test]
+    fn row_leaves_match_a_walk_per_configuration() {
+        // Slot 0 is split twice on one path (threshold, then per value),
+        // so a leaf's box can be narrower than its parent split's.
+        let nested = TreeCpd::new(
+            2,
+            vec![4, 3],
+            vec![
+                TreeNode::SplitThreshold { slot: 0, cut: 2, lo: 1, hi: 2 },
+                TreeNode::SplitPerValue { slot: 0, branches: vec![3, 4, 5, 3] },
+                TreeNode::SplitThreshold { slot: 1, cut: 0, lo: 6, hi: 3 },
+                TreeNode::Leaf(vec![0.1, 0.9]),
+                TreeNode::Leaf(vec![0.2, 0.8]),
+                TreeNode::SplitThreshold { slot: 1, cut: 1, lo: 4, hi: 6 },
+                TreeNode::Leaf(vec![0.3, 0.7]),
+            ],
+        );
+        for t in [
+            sample_tree(),
+            nested,
+            TreeCpd::leaf(3, vec![5, 2], vec![0.2, 0.3, 0.5]),
+            TreeCpd::leaf(2, vec![], vec![0.5, 0.5]),
+        ] {
+            let cards = t.parent_cards().to_vec();
+            let leaves = t.row_leaves();
+            assert_eq!(leaves.len(), cards.iter().product::<usize>());
+            let mut config = vec![0u32; cards.len()];
+            for (row, &leaf) in leaves.iter().enumerate() {
+                let mut rest = row;
+                for (code, &card) in config.iter_mut().zip(&cards).rev() {
+                    *code = (rest % card) as u32;
+                    rest /= card;
+                }
+                assert_eq!(leaf, t.leaf_of(&config), "row {row} config {config:?}");
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //!
 //! Irrelevant variables are pruned first (only the evidence variables and
 //! their ancestors matter; every other CPD sums to one), then variables
-//! are eliminated greedily by the min-weight heuristic.
+//! are eliminated greedily by the min-weight heuristic. A caller may name
+//! variables to eliminate after every other one: any order is exact, and
+//! the query-plan compiler defers the predicated variables so everything
+//! eliminated before them is independent of the predicate constants and
+//! can be computed once per query template.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -140,18 +144,24 @@ impl Evidence {
     }
 }
 
-/// Computes `P(E)` under the network's joint distribution.
+/// Computes `P(E)` under the network's joint distribution, eliminating
+/// the variables in `last` after every other one (see
+/// [`elimination_order`]; pass `&[]` for the plain min-weight order).
 ///
 /// Panics if the network is incomplete or an evidence mask has the wrong
 /// length for its variable.
-pub fn probability_of_evidence(bn: &BayesNet, evidence: &Evidence) -> f64 {
+pub fn probability_of_evidence(
+    bn: &BayesNet,
+    evidence: &Evidence,
+    last: &[usize],
+) -> f64 {
     obs::counter!("bn.infer.queries").inc();
     if evidence.is_empty() {
         return 1.0;
     }
     let (factors, relevant) = reduced_relevant_factors(bn, evidence);
     let elim: Vec<usize> = (0..bn.len()).filter(|&v| relevant[v]).collect();
-    eliminate_all(factors, &elim, |v| bn.card(v))
+    eliminate_all(factors, &elim, last, |v| bn.card(v))
 }
 
 /// Materializes and evidence-reduces the CPD factors of the *relevant*
@@ -191,7 +201,8 @@ fn reduced_relevant_factors(
 }
 
 /// Runs variable elimination over arbitrary factors, summing out every
-/// variable in `elim`, and returns the resulting scalar.
+/// variable in `elim` (those in `last` after all others), and returns the
+/// resulting scalar.
 ///
 /// Factors whose scope mentions variables outside `elim` are not supported
 /// here — the selectivity workload always eliminates everything. This is
@@ -202,10 +213,11 @@ fn reduced_relevant_factors(
 pub fn eliminate_all(
     factors: Vec<Factor>,
     elim: &[usize],
+    last: &[usize],
     card_of: impl Fn(usize) -> usize,
 ) -> f64 {
     let scopes: Vec<Vec<usize>> = factors.iter().map(|f| f.vars().to_vec()).collect();
-    let order = elimination_order(&scopes, elim, card_of);
+    let order = elimination_order(&scopes, elim, last, card_of);
     eliminate_in_order(factors.into_iter().map(Cow::Owned).collect(), &order)
 }
 
@@ -214,11 +226,12 @@ pub fn eliminate_all(
 pub fn try_eliminate_all(
     factors: Vec<Factor>,
     elim: &[usize],
+    last: &[usize],
     card_of: impl Fn(usize) -> usize,
     budget: InferBudget,
 ) -> Result<f64, InferAbort> {
     let scopes: Vec<Vec<usize>> = factors.iter().map(|f| f.vars().to_vec()).collect();
-    let order = elimination_order(&scopes, elim, card_of);
+    let order = elimination_order(&scopes, elim, last, card_of);
     try_eliminate_in_order(factors.into_iter().map(Cow::Owned).collect(), &order, budget)
 }
 
@@ -227,6 +240,15 @@ pub fn try_eliminate_all(
 /// and replay it for every query of the same shape. (Evidence reduction
 /// masks entries but never shrinks a scope, so the order is valid for any
 /// predicate values.)
+///
+/// The variables of `elim` that appear in `last` are eliminated after all
+/// the others: the order is the greedy min-weight order of the other
+/// variables followed by that of the deferred ones, each group keeping
+/// its `elim` order as the tie-break (first minimum wins). Any order is
+/// exact; deferring the predicated variables of a query template leaves
+/// every elimination before them independent of the predicate constants,
+/// so a plan compiler computes all of it once. With `last` empty this is
+/// the plain min-weight order.
 ///
 /// Scopes may be given in any order (factor scopes are canonical
 /// ascending anyway). Internally every scope becomes a [`VarSet`] bitset,
@@ -239,48 +261,53 @@ pub fn try_eliminate_all(
 pub fn elimination_order(
     scopes: &[Vec<usize>],
     elim: &[usize],
+    last: &[usize],
     card_of: impl Fn(usize) -> usize,
 ) -> Vec<usize> {
     let mut scopes: Vec<VarSet> = scopes.iter().map(|s| VarSet::from_vars(s)).collect();
-    let mut remaining: Vec<usize> = elim.to_vec();
-    let mut order = Vec::with_capacity(remaining.len());
+    let (first, deferred): (Vec<usize>, Vec<usize>) =
+        elim.iter().copied().partition(|v| !last.contains(v));
+    let mut order = Vec::with_capacity(elim.len());
     let mut merged = VarSet::new();
-    while !remaining.is_empty() {
-        // Min-weight heuristic: eliminate the variable whose combined
-        // factor is smallest (first minimum wins on ties).
-        let (best_idx, _) = remaining
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                merged.clear();
-                for s in scopes.iter().filter(|s| s.contains(v)) {
-                    merged.union_with(s);
+    for mut remaining in [first, deferred] {
+        while !remaining.is_empty() {
+            // Min-weight heuristic: eliminate the variable whose combined
+            // factor is smallest (first minimum wins on ties).
+            let (best_idx, _) = remaining
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| {
+                    merged.clear();
+                    for s in scopes.iter().filter(|s| s.contains(v)) {
+                        merged.union_with(s);
+                    }
+                    let weight: f64 =
+                        merged.iter().map(|sv| card_of(sv) as f64).product();
+                    (i, weight)
+                })
+                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("weights are finite"))
+                .expect("remaining is non-empty");
+            let var = remaining.swap_remove(best_idx);
+            order.push(var);
+            // Simulate the elimination on scopes: the factors touching
+            // `var` fuse into one factor over their union minus `var`.
+            let mut fused = VarSet::new();
+            let mut any = false;
+            scopes.retain(|s| {
+                if s.contains(var) {
+                    fused.union_with(s);
+                    any = true;
+                    false
+                } else {
+                    true
                 }
-                let weight: f64 = merged.iter().map(|sv| card_of(sv) as f64).product();
-                (i, weight)
-            })
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("weights are finite"))
-            .expect("remaining is non-empty");
-        let var = remaining.swap_remove(best_idx);
-        order.push(var);
-        // Simulate the elimination on scopes: the factors touching `var`
-        // fuse into one factor over their union minus `var`.
-        let mut fused = VarSet::new();
-        let mut any = false;
-        scopes.retain(|s| {
-            if s.contains(var) {
-                fused.union_with(s);
-                any = true;
-                false
-            } else {
-                true
+            });
+            if !any {
+                continue;
             }
-        });
-        if !any {
-            continue;
+            fused.remove(var);
+            scopes.push(fused);
         }
-        fused.remove(var);
-        scopes.push(fused);
     }
     order
 }
@@ -430,11 +457,11 @@ mod tests {
         // P(E=h, I=l, H=f) = 0.5·0.6·0.9 = 0.27 (first row of Fig. 1(a)).
         let mut ev = Evidence::new();
         ev.eq(0, 0, 3).eq(1, 0, 3).eq(2, 0, 2);
-        assert!((probability_of_evidence(&bn, &ev) - 0.27).abs() < 1e-12);
+        assert!((probability_of_evidence(&bn, &ev, &[]) - 0.27).abs() < 1e-12);
         // P(E=a, I=h, H=t) = 0.2·0.6·0.9 = 0.108 (last row).
         let mut ev = Evidence::new();
         ev.eq(0, 2, 3).eq(1, 2, 3).eq(2, 1, 2);
-        assert!((probability_of_evidence(&bn, &ev) - 0.108).abs() < 1e-12);
+        assert!((probability_of_evidence(&bn, &ev, &[]) - 0.108).abs() < 1e-12);
     }
 
     #[test]
@@ -443,10 +470,10 @@ mod tests {
         // P(I=l) = 0.47, P(H=t) = 0.344 (Fig. 1(c)).
         let mut ev = Evidence::new();
         ev.eq(1, 0, 3);
-        assert!((probability_of_evidence(&bn, &ev) - 0.47).abs() < 1e-12);
+        assert!((probability_of_evidence(&bn, &ev, &[]) - 0.47).abs() < 1e-12);
         let mut ev = Evidence::new();
         ev.eq(2, 1, 2);
-        assert!((probability_of_evidence(&bn, &ev) - 0.344).abs() < 1e-12);
+        assert!((probability_of_evidence(&bn, &ev, &[]) - 0.344).abs() < 1e-12);
     }
 
     #[test]
@@ -455,13 +482,13 @@ mod tests {
         // P(I ∈ {m, h}) = 1 − 0.47 = 0.53.
         let mut ev = Evidence::new();
         ev.isin(1, &[1, 2], 3);
-        assert!((probability_of_evidence(&bn, &ev) - 0.53).abs() < 1e-12);
+        assert!((probability_of_evidence(&bn, &ev, &[]) - 0.53).abs() < 1e-12);
     }
 
     #[test]
     fn empty_evidence_is_one() {
         let bn = paper_chain();
-        assert_eq!(probability_of_evidence(&bn, &Evidence::new()), 1.0);
+        assert_eq!(probability_of_evidence(&bn, &Evidence::new(), &[]), 1.0);
     }
 
     #[test]
@@ -469,7 +496,7 @@ mod tests {
         let bn = paper_chain();
         let mut ev = Evidence::new();
         ev.eq(1, 0, 3).eq(1, 1, 3); // I = l AND I = m
-        assert_eq!(probability_of_evidence(&bn, &ev), 0.0);
+        assert_eq!(probability_of_evidence(&bn, &ev, &[]), 0.0);
     }
 
     #[test]
@@ -482,7 +509,7 @@ mod tests {
                 let mut ev = Evidence::new();
                 ev.eq(0, e, 3).eq(2, h, 2);
                 let brute = joint.reduce(0, &mask(3, e)).reduce(2, &mask(2, h)).total();
-                let ve = probability_of_evidence(&bn, &ev);
+                let ve = probability_of_evidence(&bn, &ev, &[]);
                 assert!((ve - brute).abs() < 1e-12, "mismatch at ({e},{h})");
             }
         }
@@ -500,7 +527,7 @@ mod tests {
         let (factors, relevant) = reduced_relevant_factors(&bn, &ev);
         let elim: Vec<usize> = (0..bn.len()).filter(|&v| relevant[v]).collect();
         let scopes: Vec<Vec<usize>> = factors.iter().map(|f| f.vars().to_vec()).collect();
-        let order = elimination_order(&scopes, &elim, |v| bn.card(v));
+        let order = elimination_order(&scopes, &elim, &[], |v| bn.card(v));
         let cowed = |fs: &[Factor]| -> Vec<Cow<'_, Factor>> {
             fs.iter().map(|f| Cow::Owned(f.clone())).collect()
         };
@@ -525,6 +552,7 @@ mod tests {
         let abort = try_eliminate_all(
             factors,
             &elim,
+            &[],
             |v| bn.card(v),
             InferBudget { max_cells: Some(1), deadline: None },
         )
@@ -548,6 +576,7 @@ mod tests {
         let abort = try_eliminate_all(
             factors,
             &elim,
+            &[],
             |v| bn.card(v),
             InferBudget {
                 max_cells: None,
@@ -559,12 +588,65 @@ mod tests {
     }
 
     #[test]
+    fn deferred_variables_are_exactly_the_order_suffix() {
+        // Education → Income → Home-owner: scopes {E}, {E,I}, {I,H} with
+        // cards 3, 3, 2. Min-weight sums H first (weight 6), then E and I
+        // tie at 9 and the first one left in `elim` wins.
+        let bn = paper_chain();
+        let scopes: Vec<Vec<usize>> =
+            bn.factors().iter().map(|f| f.vars().to_vec()).collect();
+        let card = |v: usize| bn.card(v);
+        assert_eq!(elimination_order(&scopes, &[0, 1, 2], &[], card), vec![2, 0, 1]);
+        assert_eq!(elimination_order(&scopes, &[0, 1, 2], &[2], card), vec![0, 1, 2]);
+        assert_eq!(elimination_order(&scopes, &[0, 1, 2], &[0, 2], card), vec![1, 0, 2]);
+        // Deferring every variable, or one not eliminated at all, leaves
+        // the plain order.
+        assert_eq!(
+            elimination_order(&scopes, &[0, 1, 2], &[0, 1, 2], card),
+            vec![2, 0, 1]
+        );
+        assert_eq!(elimination_order(&scopes, &[0, 1, 2], &[7], card), vec![2, 0, 1]);
+
+        // Random scope families: the order is a permutation of `elim`
+        // whose suffix is exactly the deferred variables.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: u64| {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            ((state >> 33) % n) as usize
+        };
+        for _ in 0..200 {
+            let n_vars = 1 + next(10);
+            let scopes: Vec<Vec<usize>> = (0..1 + next(8))
+                .map(|_| {
+                    let mut s: Vec<usize> =
+                        (0..1 + next(4)).map(|_| next(n_vars as u64)).collect();
+                    s.sort_unstable();
+                    s.dedup();
+                    s
+                })
+                .collect();
+            let mut elim: Vec<usize> = scopes.iter().flatten().copied().collect();
+            elim.sort_unstable();
+            elim.dedup();
+            let last: Vec<usize> =
+                elim.iter().copied().filter(|_| next(3) == 0).collect();
+            let order = elimination_order(&scopes, &elim, &last, |v| 2 + v % 3);
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, elim);
+            let (head, tail) = order.split_at(elim.len() - last.len());
+            assert!(head.iter().all(|v| !last.contains(v)), "{order:?} defers {last:?}");
+            assert!(tail.iter().all(|v| last.contains(v)), "{order:?} defers {last:?}");
+        }
+    }
+
+    #[test]
     fn barren_nodes_are_pruned() {
         // Evidence only on the root: the two descendants are barren; the
         // answer must equal the root marginal regardless.
         let bn = paper_chain();
         let mut ev = Evidence::new();
         ev.eq(0, 1, 3);
-        assert!((probability_of_evidence(&bn, &ev) - 0.3).abs() < 1e-12);
+        assert!((probability_of_evidence(&bn, &ev, &[]) - 0.3).abs() < 1e-12);
     }
 }

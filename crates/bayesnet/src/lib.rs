@@ -40,7 +40,7 @@
 //! // P(income = low) = 0.47 — Fig. 1(c) of the paper.
 //! let mut ev = Evidence::new();
 //! ev.eq(1, 0, 3);
-//! assert!((probability_of_evidence(&bn, &ev) - 0.47).abs() < 1e-12);
+//! assert!((probability_of_evidence(&bn, &ev, &[]) - 0.47).abs() < 1e-12);
 //! ```
 
 pub mod cpd;

@@ -28,7 +28,13 @@ fn infer_failpoint_injects_fault_abort() {
     let factors =
         bn.factors()[..2].iter().map(|f| f.reduce(1, &[true, false, false])).collect();
     failpoint::arm("infer.eliminate", failpoint::Action::Err);
-    let r = try_eliminate_all(factors, &[0, 1], |v| bn.card(v), InferBudget::unlimited());
+    let r = try_eliminate_all(
+        factors,
+        &[0, 1],
+        &[],
+        |v| bn.card(v),
+        InferBudget::unlimited(),
+    );
     failpoint::disarm("infer.eliminate");
     match r.unwrap_err() {
         InferAbort::Fault(msg) => assert!(msg.contains("infer.eliminate"), "{msg}"),

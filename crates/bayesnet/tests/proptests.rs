@@ -121,7 +121,9 @@ proptest! {
         let mut ev = Evidence::new();
         ev.eq(v1, (seed % bn.card(v1) as u64) as u32, bn.card(v1));
         ev.eq(v2, (seed / 7 % bn.card(v2) as u64) as u32, bn.card(v2));
-        let ve = probability_of_evidence(&bn, &ev);
+        // Any elimination order is exact: defer the evidence variables,
+        // as a query-plan compiler defers the predicated ones.
+        let ve = probability_of_evidence(&bn, &ev, &[v1, v2]);
         let brute = brute_force(&bn, &ev);
         prop_assert!((ve - brute).abs() < 1e-9, "ve={} brute={}", ve, brute);
     }
@@ -428,12 +430,15 @@ proptest! {
 }
 
 /// The sorted-`Vec` union/merge implementation `elimination_order` used
-/// before scopes became [`bayesnet::VarSet`] bitsets — kept verbatim as
-/// the reference the bitset version must reproduce order-for-order
-/// (weights, tie-breaks, and the scope-fusion simulation included).
+/// before scopes became [`bayesnet::VarSet`] bitsets — kept as the
+/// reference the bitset version must reproduce order-for-order (weights,
+/// tie-breaks, and the scope-fusion simulation included). The variables
+/// in `last` form a second greedy group run after the first, each group
+/// in `elim` order.
 fn reference_elimination_order(
     scopes: &[Vec<usize>],
     elim: &[usize],
+    last: &[usize],
     card_of: impl Fn(usize) -> usize,
 ) -> Vec<usize> {
     fn union_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
@@ -463,53 +468,63 @@ fn reference_elimination_order(
             s
         })
         .collect();
-    let mut remaining: Vec<usize> = elim.to_vec();
-    let mut order = Vec::with_capacity(remaining.len());
-    while !remaining.is_empty() {
-        let (best_idx, _) = remaining
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| {
-                let mut merged: Vec<usize> = Vec::new();
-                for s in scopes.iter().filter(|s| s.contains(&v)) {
-                    merged = union_sorted(&merged, s);
+    let mut order = Vec::with_capacity(elim.len());
+    let first: Vec<usize> = elim.iter().copied().filter(|v| !last.contains(v)).collect();
+    let deferred: Vec<usize> =
+        elim.iter().copied().filter(|v| last.contains(v)).collect();
+    for mut remaining in [first, deferred] {
+        while !remaining.is_empty() {
+            let (best_idx, _) = remaining
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| {
+                    let mut merged: Vec<usize> = Vec::new();
+                    for s in scopes.iter().filter(|s| s.contains(&v)) {
+                        merged = union_sorted(&merged, s);
+                    }
+                    let weight: f64 =
+                        merged.iter().map(|&sv| card_of(sv) as f64).product();
+                    (i, weight)
+                })
+                .min_by(|a, b| a.1.partial_cmp(&b.1).expect("weights are finite"))
+                .expect("remaining is non-empty");
+            let var = remaining.swap_remove(best_idx);
+            order.push(var);
+            let mut fused: Vec<usize> = Vec::new();
+            let mut any = false;
+            scopes.retain(|s| {
+                if s.contains(&var) {
+                    fused = union_sorted(&fused, s);
+                    any = true;
+                    false
+                } else {
+                    true
                 }
-                let weight: f64 = merged.iter().map(|&sv| card_of(sv) as f64).product();
-                (i, weight)
-            })
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("weights are finite"))
-            .expect("remaining is non-empty");
-        let var = remaining.swap_remove(best_idx);
-        order.push(var);
-        let mut fused: Vec<usize> = Vec::new();
-        let mut any = false;
-        scopes.retain(|s| {
-            if s.contains(&var) {
-                fused = union_sorted(&fused, s);
-                any = true;
-                false
-            } else {
-                true
+            });
+            if !any {
+                continue;
             }
-        });
-        if !any {
-            continue;
+            fused.retain(|&sv| sv != var);
+            scopes.push(fused);
         }
-        fused.retain(|&sv| sv != var);
-        scopes.push(fused);
     }
     order
 }
 
 /// Random scope sets whose variable ids straddle the `VarSet` inline /
 /// spill boundary (256 bits), so word-wise union, ascending iteration,
-/// and fusion are all exercised in both storage regimes.
-fn arb_scope_family() -> impl Strategy<Value = (Vec<Vec<usize>>, Vec<usize>)> {
+/// and fusion are all exercised in both storage regimes. Also draws the
+/// set of variables to eliminate last: a random subset of `elim` (often
+/// empty), plus now and then an id no scope mentions.
+#[allow(clippy::type_complexity)]
+fn arb_scope_family() -> impl Strategy<Value = (Vec<Vec<usize>>, Vec<usize>, Vec<usize>)>
+{
     (
         proptest::collection::vec(proptest::collection::vec(0usize..400, 1..5), 1..8),
         any::<bool>(),
+        proptest::collection::vec(0usize..3, 0..8),
     )
-        .prop_map(|(mut scopes, spill)| {
+        .prop_map(|(mut scopes, spill, picks)| {
             if !spill {
                 // Fold ids into the inline regime (< 256 bits).
                 for s in &mut scopes {
@@ -521,23 +536,35 @@ fn arb_scope_family() -> impl Strategy<Value = (Vec<Vec<usize>>, Vec<usize>)> {
             let mut all: Vec<usize> = scopes.iter().flatten().copied().collect();
             all.sort_unstable();
             all.dedup();
-            (scopes, all)
+            // `picks[i] == 0` defers the i-th variable; `2` in the last
+            // pick adds an id outside `elim`, which must change nothing.
+            let mut last: Vec<usize> = all
+                .iter()
+                .zip(&picks)
+                .filter(|(_, &p)| p == 0)
+                .map(|(&v, _)| v)
+                .collect();
+            if picks.last() == Some(&2) {
+                last.push(1_000);
+            }
+            (scopes, all, last)
         })
 }
 
 // The bitset `elimination_order` must reproduce the sorted-merge
 // reference exactly: same variables, same order, for scope families in
-// both the inline and spilled `VarSet` regimes.
+// both the inline and spilled `VarSet` regimes, with and without a set
+// of variables eliminated last.
 proptest! {
     #[test]
     fn bitset_elimination_order_matches_sorted_merge_reference(
-        (scopes, elim) in arb_scope_family()
+        (scopes, elim, last) in arb_scope_family()
     ) {
         // Deterministic pseudo-random cardinalities keyed by var id, so
         // both implementations see the same weights.
         let card_of = |v: usize| 2 + (v * 7 + 3) % 5;
-        let got = bayesnet::elimination_order(&scopes, &elim, card_of);
-        let want = reference_elimination_order(&scopes, &elim, card_of);
+        let got = bayesnet::elimination_order(&scopes, &elim, &last, card_of);
+        let want = reference_elimination_order(&scopes, &elim, &last, card_of);
         prop_assert_eq!(got, want);
     }
 }

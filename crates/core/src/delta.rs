@@ -24,7 +24,7 @@
 
 use std::collections::HashMap;
 
-use bayesnet::cpd::TableCpd;
+use bayesnet::cpd::{TableCpd, TreeNode};
 use bayesnet::Cpd;
 use reldb::Database;
 
@@ -492,17 +492,44 @@ impl DeltaState {
         for (t, table_model) in prm.tables.iter().enumerate() {
             let st = &self.tables[t];
             for (a, attr) in table_model.attrs.iter().enumerate() {
-                let ast = &st.attrs[a];
-                let n_parents = ast.cards.len() - 1;
-                let mut config = vec![0u32; ast.cards.len()];
-                for (idx, &cnt) in ast.counts.iter().enumerate() {
-                    if cnt <= 0 {
-                        continue;
+                // The child varies fastest, so each parent configuration
+                // owns one contiguous row of counts: walk the rows beside
+                // their distributions and add each positive cell's term in
+                // ascending order — a per-cell walk's terms, in its order.
+                let rows = st.attrs[a].counts.chunks_exact(attr.cpd.child_card());
+                match &attr.cpd {
+                    Cpd::Tree(tree) => {
+                        // Configurations share leaves, so take the log of
+                        // each leaf cell once (`ln` is deterministic: the
+                        // terms keep their bits).
+                        let leaf_ln: Vec<Vec<f64>> = tree
+                            .nodes()
+                            .iter()
+                            .map(|node| match node {
+                                TreeNode::Leaf(dist) => {
+                                    dist.iter().map(|p| p.max(P_FLOOR).ln()).collect()
+                                }
+                                _ => Vec::new(),
+                            })
+                            .collect();
+                        for (row, &leaf) in rows.zip(&tree.row_leaves()) {
+                            for (&cnt, &ln) in row.iter().zip(&leaf_ln[leaf]) {
+                                if cnt > 0 {
+                                    ll += cnt as f64 * ln;
+                                }
+                            }
+                        }
                     }
-                    decode(idx, &ast.cards, &mut config);
-                    let child = config[n_parents] as usize;
-                    let p = attr.cpd.dist(&config[..n_parents])[child].max(P_FLOOR);
-                    ll += cnt as f64 * p.ln();
+                    Cpd::Table(table) => {
+                        let dists = table.probs().chunks_exact(table.child_card());
+                        for (row, dist) in rows.zip(dists) {
+                            for (&cnt, &p) in row.iter().zip(dist) {
+                                if cnt > 0 {
+                                    ll += cnt as f64 * p.max(P_FLOOR).ln();
+                                }
+                            }
+                        }
+                    }
                 }
             }
             for (f, ji) in table_model.join_indicators.iter().enumerate() {
@@ -747,6 +774,70 @@ mod tests {
         let refreshed = state.refit(&prm).unwrap();
         let drift = state.drift(&refreshed).unwrap();
         assert!(drift.is_finite());
+    }
+
+    /// Oracle for `per_row_loglik` on a model without join indicators:
+    /// the same sum taken cell by cell, with one `decode`, one
+    /// `Cpd::dist` and one `ln` per positive cell.
+    fn per_cell_loglik(state: &DeltaState, prm: &Prm) -> f64 {
+        let mut ll = 0.0;
+        for (t, table_model) in prm.tables.iter().enumerate() {
+            assert!(table_model.join_indicators.is_empty());
+            for (ast, attr) in state.tables[t].attrs.iter().zip(&table_model.attrs) {
+                let n_parents = ast.cards.len() - 1;
+                let mut config = vec![0u32; ast.cards.len()];
+                for (idx, &cnt) in ast.counts.iter().enumerate() {
+                    if cnt <= 0 {
+                        continue;
+                    }
+                    decode(idx, &ast.cards, &mut config);
+                    let child = config[n_parents] as usize;
+                    let p = attr.cpd.dist(&config[..n_parents])[child].max(P_FLOOR);
+                    ll += cnt as f64 * p.ln();
+                }
+            }
+        }
+        ll / state.total_rows().max(1) as f64
+    }
+
+    #[test]
+    fn row_walk_loglik_equals_the_per_cell_sum_bitwise() {
+        let db = workloads::census::census_database(2_000, 3);
+        let mut prm = learn_prm(&db, &PrmLearnConfig::default()).unwrap();
+        let mut state = DeltaState::build(&prm, &db).unwrap();
+        // Every other family gets a table CPD fit from the same counts, so
+        // the walk reads both representations.
+        for (a, attr) in prm.tables[0].attrs.iter_mut().enumerate().step_by(2) {
+            let ast = &state.tables[0].attrs[a];
+            attr.cpd = TableCpd::from_counts(&reldb::CountTable {
+                cards: ast.cards.clone(),
+                counts: ast.counts.iter().map(|&c| c as u64).collect(),
+            })
+            .into();
+        }
+        let kinds: Vec<bool> =
+            prm.tables[0].attrs.iter().map(|a| matches!(a.cpd, Cpd::Tree(_))).collect();
+        assert!(kinds.contains(&true) && kinds.contains(&false), "{kinds:?}");
+        let adopted = state.refit(&prm).unwrap();
+        // Insert rows of codes the census network rarely draws together,
+        // so the adopted model scores the new counts off its MLE.
+        let cards = state.tables[0].cards.clone();
+        let mut batch = UpdateBatch::new(1);
+        for i in 0..300usize {
+            let attrs = cards
+                .iter()
+                .enumerate()
+                .map(|(a, &c)| ((i * (a + 3) + i / 7) % c) as u32);
+            batch.tables[0]
+                .inserts
+                .push(DeltaRow { attrs: attrs.collect(), foreign: vec![] });
+        }
+        state.apply(&batch).unwrap();
+        let refit = state.refit(&prm).unwrap();
+        for model in [&prm, &adopted, &refit] {
+            let rows = state.per_row_loglik(model).unwrap();
+            assert_eq!(rows.to_bits(), per_cell_loglik(&state, model).to_bits());
+        }
     }
 
     #[test]

@@ -427,12 +427,14 @@ impl PrmEstimator {
 
     /// Explains an estimate: the upward closure, the unrolled network's
     /// size, the query probability, and the final arithmetic — the trace
-    /// a DBA would want when an optimizer picks a surprising plan.
+    /// a DBA would want when an optimizer picks a surprising plan. The
+    /// printed estimate is the exact value [`PrmEstimator::estimate`]
+    /// returns (shortest round-trip form).
     pub fn explain(&self, query: &Query) -> Result<String> {
         use std::fmt::Write;
         let ep = self.epochs.load();
         let qebn = QueryEvalBn::build(&ep.prm, &ep.schema, query)?;
-        let p = bayesnet::probability_of_evidence(&qebn.bn, &qebn.evidence);
+        let p = qebn.probability_of_evidence();
         let mut out = String::new();
         let _ = writeln!(
             out,
@@ -457,7 +459,8 @@ impl PrmEstimator {
         let _ = writeln!(out, "P(selects AND joins) = {p:.3e}");
         let product: f64 =
             qebn.closure_tables.iter().map(|&t| ep.prm.tables[t].n_rows as f64).product();
-        let _ = writeln!(out, "estimate = {product:.0} x {p:.3e} = {:.1}", product * p);
+        let estimate = qebn.scale(&ep.prm, p);
+        let _ = writeln!(out, "estimate = {product:.0} x {p:.3e} = {estimate}");
         Ok(out)
     }
 }
@@ -876,5 +879,34 @@ impl SelectivityEstimator for JoinSampleAdapter {
         let est = self.inner.estimate(&preds);
         obs::histogram!("est.join_sample.estimate.ns").record_duration(start.elapsed());
         Ok(est)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn explain_prints_the_bits_estimate_returns() {
+        let db = workloads::census::census_database(3_000, 5);
+        let est =
+            PrmEstimator::build(&db, &PrmLearnConfig::default()).expect("learn census");
+        for (age, income) in [((2, 9), (3, 20)), ((0, 17), (40, 41)), ((5, 5), (0, 41))] {
+            let mut b = Query::builder();
+            let v = b.var("census");
+            b.range(v, "age", Some(age.0), Some(age.1));
+            b.range(v, "income", Some(income.0), Some(income.1));
+            let q = b.build();
+            let text = est.explain(&q).expect("explain");
+            let printed: f64 = text
+                .lines()
+                .find_map(|l| l.strip_prefix("estimate = "))
+                .and_then(|l| l.rsplit(" = ").next())
+                .expect("an estimate line")
+                .parse()
+                .expect("a float");
+            let estimate = est.estimate(&q).expect("estimate");
+            assert_eq!(printed.to_bits(), estimate.to_bits(), "{text}");
+        }
     }
 }

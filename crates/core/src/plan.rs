@@ -14,8 +14,9 @@
 //!   `estimate_batch` workers share the result;
 //! * [`QueryPlan`] — for one query template, the evidence-independent
 //!   factors (with the fixed `J = true` join evidence already folded in)
-//!   plus a fully **precompiled replay program**: the elimination order is
-//!   simulated symbolically at compile time, so every product /
+//!   plus a fully **precompiled replay program**: the elimination order —
+//!   min-weight over the unpredicated nodes, then over the predicated
+//!   ones — is simulated symbolically at compile time, so every product /
 //!   fused-product-sum / sum-out step is stored with its strides,
 //!   cardinalities, and arena buffer offsets already resolved;
 //! * **constant folding** — a replay op whose operands are base factors
@@ -24,8 +25,10 @@
 //!   every query of the template (reducing by evidence commutes with
 //!   products and with sums over unpredicated variables), so compilation
 //!   executes it once, unmasked, and stores its output as a plan
-//!   constant; the per-query replay runs only the sums over predicated
-//!   variables and the ops downstream of them;
+//!   constant. With the predicated nodes eliminated last that is every
+//!   op before the first predicated sum: compilation computes the
+//!   marginal `P(X_pred, J = true)`, and the per-query replay only sums
+//!   it over the allowed codes;
 //! * a per-plan **signature memo** — decoded predicate masks key a
 //!   bounded LRU of final `P(E)` scalars, so repeating the same constants
 //!   skips both the reduce pass and the replay entirely
@@ -56,10 +59,12 @@
 //! entries without touching scopes, so pre-reducing the fixed join
 //! evidence at compile time commutes bitwise with the per-query predicate
 //! reduction; the recorded elimination order is the same deterministic
-//! function of the (reduction-invariant) scopes the fallback path derives;
-//! and the replay program calls the *same* `bayesnet::factor` kernels with
-//! the same strides the `Factor` methods would compute, preserving the
-//! floating-point operation order exactly. Constant folding only moves
+//! function of the (reduction-invariant) scopes and predicated nodes the
+//! fallback path derives ([`QueryEvalBn::probability_of_evidence`] defers
+//! the same nodes); and the replay program calls the *same*
+//! `bayesnet::factor` kernels with the same strides the `Factor` methods
+//! would compute, preserving the floating-point operation order exactly.
+//! Constant folding only moves
 //! *when* an op runs (compile instead of every estimate): a folded op
 //! runs unmasked, so at every allowed cell it computes the bytes the
 //! masked replay would have, and no later op reads any other cell (each
@@ -850,9 +855,13 @@ impl QueryPlan {
         // Every materialized node is evidence or an ancestor of evidence
         // (the builder only unrolls queried attributes and their
         // ancestors), so the eliminated set is all of them — exactly the
-        // relevance prune of the uncached path.
+        // relevance prune of the uncached path. The predicated nodes go
+        // last, as in `QueryEvalBn::probability_of_evidence`: every op
+        // before the first of them then folds into a constant below, and
+        // the replay only sums the marginal over the predicated nodes.
         let elim: Vec<usize> = (0..n).collect();
-        let order = elimination_order(&scopes, &elim, |v| qebn.bn.card(v));
+        let order =
+            elimination_order(&scopes, &elim, &qebn.pred_nodes, |v| qebn.bn.card(v));
 
         // Predicate decode layout: one mask slot per distinct node, a tmp
         // region (for intersecting repeat predicates) after them; each
@@ -1765,7 +1774,9 @@ mod tests {
 
     /// The folding rule on a learned census model, with range predicates
     /// on two attributes: an op stays in the replay only when it sums out
-    /// a predicated variable or reads the output of an op that does.
+    /// a predicated variable or reads the output of an op that does, and
+    /// since predicated variables are eliminated last, only the steps
+    /// that eliminate them keep any op.
     #[test]
     fn folding_keeps_only_predicated_sums_and_their_consumers_dynamic() {
         let db = workloads::census::census_database(3_000, 5);
@@ -1820,6 +1831,16 @@ mod tests {
             }
         }
         assert!(folded_masked_axes > 0, "no op with a masked result axis was folded");
+        let predicated: Vec<usize> = plan.mask_slots.iter().map(|m| m.node).collect();
+        assert_eq!(predicated.len(), 2);
+        for step in plan.steps.iter().filter(|s| !s.ops.is_empty()) {
+            assert!(
+                predicated.contains(&step.var),
+                "the step eliminating unpredicated node {} kept {} dynamic op(s)",
+                step.var,
+                step.ops.len()
+            );
+        }
         for q in
             [ranges((2, 9), (5, 30)), ranges((17, 3), (0, 41)), ranges((0, 17), (40, 41))]
         {

@@ -17,7 +17,9 @@
 //!
 //! The selectivity estimate is then
 //! `size(Q) ≈ Π_{v ∈ Q⁺} |T_v| · P(selects ∧ all join indicators true)`,
-//! computed by exact variable elimination.
+//! computed by exact variable elimination with the predicated nodes
+//! eliminated last — the order [`crate::plan::QueryPlan`] compiles, so
+//! this uncached path is the bit-exact oracle of the cached one.
 
 use std::collections::HashMap;
 
@@ -83,9 +85,22 @@ impl QueryEvalBn {
         Builder::new(prm, schema, query)?.run()
     }
 
+    /// `P(E)` by exact variable elimination, summing out every
+    /// unpredicated node before the first predicated one: the order
+    /// [`crate::plan::QueryPlan::compile`] records, so this equals the
+    /// plan's replay bit for bit.
+    pub fn probability_of_evidence(&self) -> f64 {
+        probability_of_evidence(&self.bn, &self.evidence, &self.pred_nodes)
+    }
+
     /// The selectivity estimate `Π |T_v| · P(E)`.
     pub fn estimated_size(&self, prm: &Prm) -> f64 {
-        let mut size = probability_of_evidence(&self.bn, &self.evidence);
+        self.scale(prm, self.probability_of_evidence())
+    }
+
+    /// `p · Π |T_v|`, multiplied in closure order as the plan replay does.
+    pub(crate) fn scale(&self, prm: &Prm, p: f64) -> f64 {
+        let mut size = p;
         for &t in &self.closure_tables {
             size *= prm.tables[t].n_rows as f64;
         }

@@ -265,7 +265,7 @@ proptest! {
         let p = b.var("parent");
         b.join(c, "parent", p).eq(c, "y1", y).eq(p, "x1", x);
         let qebn = QueryEvalBn::build(&prm, &schema, &b.build()).unwrap();
-        let prob = bayesnet::probability_of_evidence(&qebn.bn, &qebn.evidence);
+        let prob = qebn.probability_of_evidence();
         prop_assert!((0.0..=1.0).contains(&prob), "P = {}", prob);
         let est = qebn.estimated_size(&prm);
         prop_assert!(est >= 0.0 && est.is_finite());
